@@ -8,7 +8,7 @@ kernel vs the frozenset interpreter over the Thm 5.6 family (with
 per-operator timings), cross-process sampler determinism under varying
 ``PYTHONHASHSEED``, a closed-loop service loadgen (p50/p99 latency +
 QPS per backend, gated against the latest committed baseline), the
-supervised warm worker pool vs the legacy spawn-per-call executor, the
+supervised warm worker pool vs a one-shot (spawn-per-call) pool, the
 exact linear solver (Bareiss vs the Gauss–Jordan reference), and the
 sparse certified solver (kernel-streamed CSR assembly + a 10^4-state
 birth-death chain solved to a residual-certified 1e-9) — and writes
@@ -19,7 +19,7 @@ Correctness gates (always enforced; any failure exits nonzero):
 
 * ``workers=1`` sampler results are bit-identical to the sequential
   path, and ``workers=4`` runs are seed-stable (two runs, same tallies);
-* the supervised warm pool reproduces spawn-per-call tallies
+* the supervised warm pool reproduces a one-shot pool's tallies
   bit-for-bit and finishes the run with all workers alive, zero
   restarts;
 * the columnar backend's sampler tallies are checksum-equal to the
@@ -429,6 +429,7 @@ def bench_loadgen(h: Harness, cores: int) -> None:
 def bench_supervisor(h: Harness, cores: int) -> None:
     print("worker supervisor — warm pool vs spawn-per-call dispatch")
     from repro.perf import prewarm, warm_pool_stats
+    from repro.perf import supervisor as supervisor_module
 
     query, db = random_walk_query(cycle_graph(8), "n0", "n4")
     # Deliberately a *small* job in both modes: this bench measures
@@ -438,14 +439,27 @@ def bench_supervisor(h: Harness, cores: int) -> None:
     samples = 100
     burn_in = 10
 
-    def run(persistent: bool):
+    config = ParallelConfig(workers=WORKERS)
+
+    def run():
         return evaluate_forever_mcmc(
             query, db, samples=samples, burn_in=burn_in, rng=SEED,
-            parallel=ParallelConfig(workers=WORKERS, persistent=persistent))
+            parallel=config)
+
+    def run_one_shot():
+        # Hold the warm pool as a concurrent run would: the dispatch then
+        # spawns a one-shot WorkerSupervisor for this call and closes it.
+        busy = supervisor_module._lease_warm_pool(
+            supervisor_module.SupervisorConfig.from_parallel(config))
+        try:
+            return run()
+        finally:
+            if busy is not None:
+                busy._run_lock.release()
 
     prewarm(WORKERS)  # the one-time spawn happens outside the timed region
-    warm_s, warm = timed(lambda: run(True), h.rounds)
-    spawn_s, spawned = timed(lambda: run(False), h.rounds)
+    warm_s, warm = timed(run, h.rounds)
+    spawn_s, spawned = timed(run_one_shot, h.rounds)
     stats = warm_pool_stats()
 
     h.record("supervisor_warm_pool", warm_s,
@@ -455,8 +469,8 @@ def bench_supervisor(h: Harness, cores: int) -> None:
              checksum({"positive": spawned.positive,
                        "samples": spawned.samples}),
              samples=samples, burn_in=burn_in)
-    # Both paths use identical seeds, chunking, and merge order, so the
-    # warm pool must reproduce spawn-per-call tallies bit-for-bit.
+    # Both pools use identical seeds, chunking, and merge order, so the
+    # warm pool must reproduce the one-shot pool's tallies bit-for-bit.
     h.check("supervisor_matches_spawn_per_call",
             (warm.positive, warm.samples) == (spawned.positive, spawned.samples),
             f"warm positive={warm.positive}, spawn-per-call={spawned.positive}")

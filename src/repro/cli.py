@@ -20,6 +20,14 @@ Exact evaluation is the default; pass ``--samples`` or
 ``--epsilon/--delta`` for the sampling evaluators (Theorems 4.3 / 5.6).
 ``--json`` switches the output to machine-readable JSON.
 
+``forever``, ``inflationary`` and ``datalog`` build the request body
+``repro submit`` sends and evaluate it in-process on an
+:class:`~repro.service.EngineSession`, so they pick the same rung and
+print the same payload as the service; the payload keys (``kind``,
+``method``, ...) are tabled in ``docs/service.md``.  Parameters are
+validated the same way too: a bad ``--samples``/``--epsilon``/... value
+is one ``error:`` line and exit code 2.
+
 Resource limits (see ``docs/robustness.md``): every subcommand accepts
 ``--timeout SECONDS`` (wall-clock deadline) and ``--max-steps N``
 (transition-step budget); exceeding either aborts with a one-line
@@ -73,24 +81,14 @@ import sys
 from typing import Sequence
 
 from repro import __version__
-from repro.core import (
-    ForeverQuery,
-    InflationaryQuery,
-    build_state_chain,
-    evaluate_forever_exact,
-    evaluate_forever_lumped,
-    evaluate_forever_mcmc,
-    evaluate_inflationary_exact,
-    evaluate_inflationary_sampling,
-)
+from repro.core import ForeverQuery, build_state_chain, evaluate_forever_mcmc
 from repro.core.events import parse_event
-from repro.datalog import evaluate_datalog_exact, evaluate_datalog_sampling, parse_program
 from repro.errors import ReproError
-from repro.io import load_database, load_pc_database
+from repro.io import load_database
 from repro.obs.schema import TraceSchemaError
 from repro.markov import classify, is_ergodic, is_irreducible, mixing_time
 from repro.relational.parser import parse_interpretation
-from repro.runtime import Budget, DegradationPolicy, RunContext, evaluate_forever_resilient
+from repro.runtime import Budget, RunContext
 
 def _emit(payload: dict, as_json: bool) -> None:
     if as_json:
@@ -169,16 +167,6 @@ def _add_backend_argument(
     )
 
 
-def _parallel_config(args: argparse.Namespace):
-    """A ParallelConfig from --workers (None when sequential)."""
-    workers = getattr(args, "workers", 1)
-    if workers <= 1:
-        return None
-    from repro.perf import ParallelConfig
-
-    return ParallelConfig(workers=workers)
-
-
 def _add_partition_argument(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--partition",
@@ -237,58 +225,33 @@ def _finalize_trace(context: RunContext | None, payload: dict | None) -> None:
     report = context.report().as_dict()
     fields: dict = {"outcome": report["outcome"], "report": report}
     if isinstance(payload, dict):
-        for key in ("mode", "estimate", "probability", "samples"):
+        for key in ("kind", "method", "estimate", "probability", "samples"):
             if key in payload:
                 fields[key] = payload[key]
     context.tracer.run_record(**fields)
     context.tracer.close()
 
 
-def _wants_sampling(args: argparse.Namespace) -> bool:
-    return args.samples is not None or args.epsilon is not None
+def _command_evaluate(args: argparse.Namespace, context: RunContext) -> dict:
+    """``repro forever|inflationary|datalog``: build the request body
+    ``repro submit`` would send, and evaluate it in-process.
 
+    Rung selection and the payload (keys tabled in ``docs/service.md``)
+    are :meth:`EngineSession.evaluate <repro.service.EngineSession.evaluate>`'s;
+    this command only reads the files and reports.
+    """
+    from repro.service.request import QueryRequest
+    from repro.service.session import EngineSession
 
-def _command_datalog(args: argparse.Namespace, context: RunContext) -> dict:
     with context.phase("parse"):
-        with open(args.program, encoding="utf-8") as handle:
-            program = parse_program(handle.read())
-        edb = load_database(args.db)
-        event = parse_event(args.event)
-        pc_tables = load_pc_database(args.pc) if args.pc else None
-    if _wants_sampling(args):
-        result = evaluate_datalog_sampling(
-            program,
-            edb,
-            event,
-            pc_tables=pc_tables,
-            epsilon=args.epsilon or 0.05,
-            delta=args.delta,
-            samples=args.samples,
-            rng=args.seed,
-            context=context,
-        )
-        return {
-            "mode": "sampling (Theorem 4.3)",
-            "estimate": result.estimate,
-            "samples": result.samples,
-            "epsilon": result.epsilon,
-            "delta": result.delta,
-        }
-    result = evaluate_datalog_exact(
-        program,
-        edb,
-        event,
-        pc_tables=pc_tables,
-        max_states=args.max_states,
-        context=context,
+        request = QueryRequest.from_json(_submit_body(args))
+        session = EngineSession.from_request(request)
+    return session.evaluate(
+        request,
+        context,
+        checkpoint_path=getattr(args, "checkpoint", None),
+        resume=getattr(args, "resume", None),
     )
-    return {
-        "mode": "exact (Proposition 4.4)",
-        "probability": str(result.probability),
-        "probability_float": float(result.probability),
-        "states_explored": result.states_explored,
-        "pc_worlds": result.details.get("pc_worlds", 1),
-    }
 
 
 def _load_kernel_and_event(args: argparse.Namespace, context: RunContext):
@@ -298,262 +261,6 @@ def _load_kernel_and_event(args: argparse.Namespace, context: RunContext):
         db = load_database(args.db)
         event = parse_event(args.event)
     return kernel, db, event
-
-
-def _mcmc_payload(result) -> dict:
-    payload = {
-        "mode": "MCMC (Theorem 5.6)",
-        "estimate": result.estimate,
-        "samples": result.samples,
-        "burn_in": result.details["burn_in"],
-    }
-    if result.details.get("resumed_at") is not None:
-        payload["resumed_at_sample"] = result.details["resumed_at"]
-    _add_perf_details(payload, result)
-    return payload
-
-
-def _add_perf_details(payload: dict, result) -> None:
-    if result.details.get("workers"):
-        payload["workers"] = result.details["workers"]
-    if result.details.get("backend"):
-        payload["backend"] = result.details["backend"]
-    cache = result.details.get("cache")
-    if cache:
-        payload["cache_hits"] = cache["hits"]
-        payload["cache_misses"] = cache["misses"]
-        payload["cache_evictions"] = cache["evictions"]
-
-
-def _exact_payload(result) -> dict:
-    payload = {
-        "mode": f"exact ({result.method})",
-        "probability": str(result.probability),
-        "probability_float": float(result.probability),
-        "chain_states": result.states_explored,
-    }
-    if result.details.get("backend"):
-        payload["backend"] = result.details["backend"]
-    return payload
-
-
-def _sparse_payload(result) -> dict:
-    lo, hi = result.interval
-    payload = {
-        "mode": f"sparse certified ({result.method})",
-        "probability_float": result.probability,
-        "interval": [lo, hi],
-        "certificate": result.certificate.as_dict(),
-        "chain_states": result.states_explored,
-    }
-    for key in ("backend", "sccs", "leaf_sccs", "irreducible"):
-        if result.details.get(key) is not None:
-            payload[key] = result.details[key]
-    return payload
-
-
-def _try_partition(args: argparse.Namespace, context: RunContext, query, db):
-    """The ``--partition auto`` path: plan statically, execute per
-    component, recombine by independence.
-
-    Returns the payload, or ``None`` when partitioning was not requested
-    or does not apply (single component, undecomposable event) — the
-    caller then runs the whole-program evaluator as usual.
-    """
-    if getattr(args, "partition", "off") != "auto":
-        return None
-    from repro.analysis import analyze_kernel
-    from repro.core.events import TupleIn
-    from repro.runtime import can_partition, evaluate_partitioned
-
-    semantics = "inflationary" if isinstance(query, InflationaryQuery) else "forever"
-    analysis = analyze_kernel(
-        query.kernel,
-        database=db,
-        event=query.event if isinstance(query.event, TupleIn) else None,
-        semantics=semantics,
-    )
-    plan = analysis.partition
-    if plan is None or not can_partition(plan, query.event):
-        context.record_event(
-            "partition requested but the program does not split; "
-            "using whole-program evaluation"
-        )
-        return None
-    policy = None
-    if semantics == "forever":
-        policy = DegradationPolicy(
-            mode=args.fallback,
-            sparse_epsilon=args.epsilon if args.epsilon is not None else 1e-6,
-            mcmc_epsilon=args.epsilon or 0.1,
-            mcmc_delta=args.delta,
-            mcmc_samples=args.samples,
-            mcmc_burn_in=args.burn_in,
-            mcmc_cache_size=args.cache_size,
-        )
-    prefer_sparse = getattr(args, "backend", None) == "sparse"
-    result = evaluate_partitioned(
-        query,
-        db,
-        plan,
-        max_states=args.max_states,
-        policy=policy,
-        context=context,
-        seed=args.seed,
-        backend=None if prefer_sparse else getattr(args, "backend", None),
-        prefer_sparse=prefer_sparse,
-        workers=getattr(args, "workers", 1),
-    )
-    if hasattr(result, "estimate"):
-        payload = {
-            "mode": f"partitioned ({result.method})",
-            "estimate": result.estimate,
-            "samples": result.samples,
-            "epsilon": result.epsilon,
-            "delta": result.delta,
-        }
-    else:
-        payload = _exact_payload(result)
-    payload["partition_components"] = len(plan.components)
-    payload["partition_evaluated"] = len(result.details["components"])
-    if result.details["pruned"]:
-        payload["partition_pruned"] = ",".join(result.details["pruned"])
-    report = context.report()
-    if report.downgrades:
-        payload["downgrades"] = [d.as_dict() for d in report.downgrades]
-    return payload
-
-
-def _command_forever(args: argparse.Namespace, context: RunContext) -> dict:
-    kernel, db, event = _load_kernel_and_event(args, context)
-    query = ForeverQuery(kernel, event)
-    partitioned = _try_partition(args, context, query, db)
-    if partitioned is not None:
-        return partitioned
-    prefer_sparse = args.backend == "sparse"
-    if args.fallback != "none" or prefer_sparse:
-        from repro.analysis import PlanHints
-
-        hints = PlanHints.for_kernel(kernel, event=event, semantics="forever")
-        policy = DegradationPolicy(
-            mode=args.fallback,
-            sparse_epsilon=args.epsilon if args.epsilon is not None else 1e-6,
-            mcmc_epsilon=args.epsilon or 0.1,
-            mcmc_delta=args.delta,
-            mcmc_samples=args.samples,
-            mcmc_burn_in=args.burn_in,
-            mcmc_workers=args.workers,
-            mcmc_cache_size=args.cache_size,
-        )
-        result = evaluate_forever_resilient(
-            query,
-            db,
-            max_states=args.max_states,
-            policy=policy,
-            context=context,
-            rng=args.seed,
-            checkpoint_path=args.checkpoint,
-            resume=args.resume,
-            hints=hints,
-            backend=None if prefer_sparse else args.backend,
-            prefer_sparse=prefer_sparse,
-        )
-        if hasattr(result, "certificate"):
-            payload = _sparse_payload(result)
-        elif hasattr(result, "estimate"):
-            payload = _mcmc_payload(result)
-        else:
-            payload = _exact_payload(result)
-        report = context.report()
-        if report.downgrades:
-            payload["downgrades"] = [d.as_dict() for d in report.downgrades]
-        return payload
-    if args.mcmc or args.resume or _wants_sampling(args):
-        result = evaluate_forever_mcmc(
-            query,
-            db,
-            epsilon=args.epsilon or 0.1,
-            delta=args.delta,
-            samples=args.samples,
-            burn_in=args.burn_in,
-            rng=args.seed,
-            context=context,
-            checkpoint_path=args.checkpoint,
-            resume=args.resume,
-            cache_size=args.cache_size,
-            parallel=_parallel_config(args),
-            backend=args.backend,
-        )
-        return _mcmc_payload(result)
-    if args.lumped:
-        result = evaluate_forever_lumped(
-            query, db, max_states=args.max_states, context=context,
-            backend=args.backend,
-        )
-        payload = {
-            "mode": "exact (lumped quotient)",
-            "probability": str(result.probability),
-            "probability_float": float(result.probability),
-            "full_chain_states": result.details["full_states"],
-            "quotient_states": result.details["quotient_states"],
-        }
-        if result.details.get("backend"):
-            payload["backend"] = result.details["backend"]
-        return payload
-    result = evaluate_forever_exact(
-        query, db, max_states=args.max_states, context=context,
-        backend=args.backend,
-    )
-    payload = _exact_payload(result)
-    payload["irreducible"] = result.details["irreducible"]
-    return payload
-
-
-def _command_inflationary(args: argparse.Namespace, context: RunContext) -> dict:
-    kernel, db, event = _load_kernel_and_event(args, context)
-    query = InflationaryQuery(kernel, event)
-    partitioned = _try_partition(args, context, query, db)
-    if partitioned is not None:
-        return partitioned
-    if _wants_sampling(args):
-        result = evaluate_inflationary_sampling(
-            query,
-            db,
-            epsilon=args.epsilon or 0.05,
-            delta=args.delta,
-            samples=args.samples,
-            rng=args.seed,
-            context=context,
-            cache_size=args.cache_size,
-            parallel=_parallel_config(args),
-            backend=args.backend,
-        )
-        payload = {
-            "mode": "sampling (Theorem 4.3)",
-            "estimate": result.estimate,
-            "samples": result.samples,
-        }
-        _add_perf_details(payload, result)
-        return payload
-    effective_backend = "frozenset"
-    if args.backend == "columnar":
-        from repro.core.evaluation.backend import resolve_backend
-
-        query, db, effective_backend = resolve_backend(
-            query, db, args.backend, context=context
-        )
-    result = evaluate_inflationary_exact(
-        query, db, max_states=args.max_states, context=context
-    )
-    payload = {
-        "mode": "exact (Proposition 4.4)",
-        "probability": str(result.probability),
-        "probability_float": float(result.probability),
-        "states_explored": result.states_explored,
-    }
-    if effective_backend != "frozenset":
-        payload["backend"] = effective_backend
-    return payload
 
 
 def _command_chain(args: argparse.Namespace, context: RunContext) -> dict:
@@ -937,34 +644,33 @@ def _command_chaos(args: argparse.Namespace, context: RunContext) -> dict:
 
 
 def _submit_body(args: argparse.Namespace) -> dict:
+    """The request body for ``repro submit``, and for ``repro
+    forever|inflationary|datalog``, which evaluate it in-process."""
     with open(args.program, encoding="utf-8") as handle:
         program_text = handle.read()
     with open(args.db, encoding="utf-8") as handle:
         database = json.load(handle)
     body: dict = {
-        "semantics": args.semantics,
+        "semantics": getattr(args, "semantics", args.command),
         "program": program_text,
         "database": database,
         "event": args.event,
-        "priority": args.priority,
+        "priority": getattr(args, "priority", "normal"),
     }
-    if args.pc:
+    if getattr(args, "pc", None):
         with open(args.pc, encoding="utf-8") as handle:
             body["pc_tables"] = json.load(handle)
     params = {
-        key: getattr(args, key)
+        key: getattr(args, key, None)
         for key in (
-            "samples", "epsilon", "delta", "seed", "max_states",
-            "burn_in", "workers", "cache_size", "backend", "partition",
+            "samples", "epsilon", "delta", "seed", "max_states", "burn_in",
+            "workers", "cache_size", "backend", "partition", "fallback",
         )
-        if getattr(args, key) is not None
+        if getattr(args, key, None) is not None
     }
-    if args.mcmc:
-        params["mcmc"] = True
-    if args.lumped:
-        params["lumped"] = True
-    if args.fallback is not None:
-        params["fallback"] = args.fallback
+    for flag in ("mcmc", "lumped"):
+        if getattr(args, flag, False):
+            params[flag] = True
     if params:
         body["params"] = params
     budget = {
@@ -1053,12 +759,15 @@ def build_arg_parser() -> argparse.ArgumentParser:
     _add_sampling_arguments(datalog)
     _add_budget_arguments(datalog)
     _add_trace_argument(datalog)
-    datalog.set_defaults(handler=_command_datalog)
+    datalog.set_defaults(handler=_command_evaluate)
 
     forever = subparsers.add_parser(
         "forever", help="evaluate a non-inflationary (forever) query", parents=[common]
     )
-    forever.add_argument("kernel", help="interpretation file (Name := expression lines)")
+    forever.add_argument(
+        "program", metavar="kernel",
+        help="interpretation file (Name := expression lines)",
+    )
     forever.add_argument("--db", required=True)
     forever.add_argument("--event", required=True)
     forever.add_argument("--mcmc", action="store_true", help="force the Theorem 5.6 sampler")
@@ -1095,12 +804,12 @@ def build_arg_parser() -> argparse.ArgumentParser:
     _add_perf_arguments(forever)
     _add_backend_argument(forever, sparse=True)
     _add_trace_argument(forever)
-    forever.set_defaults(handler=_command_forever)
+    forever.set_defaults(handler=_command_evaluate)
 
     inflationary = subparsers.add_parser(
         "inflationary", help="evaluate an inflationary query", parents=[common]
     )
-    inflationary.add_argument("kernel")
+    inflationary.add_argument("program", metavar="kernel")
     inflationary.add_argument("--db", required=True)
     inflationary.add_argument("--event", required=True)
     inflationary.add_argument("--max-states", type=int, default=100_000)
@@ -1110,7 +819,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     _add_perf_arguments(inflationary)
     _add_backend_argument(inflationary)
     _add_trace_argument(inflationary)
-    inflationary.set_defaults(handler=_command_inflationary)
+    inflationary.set_defaults(handler=_command_evaluate)
 
     chain = subparsers.add_parser(
         "chain", help="analyse the induced database-state chain", parents=[common]

@@ -50,6 +50,12 @@ class CachedRow:
     """One memoized transition row: the exact distribution plus a
     cumulative-weight index for O(log k) successor draws.
 
+    The index is built on the first :meth:`sample` call: chain builders
+    read only :attr:`distribution`, and sorting every row they touch
+    would cost more than building the chain.  It is published as one
+    ``(outcomes, cumulative)`` tuple, so a concurrent reader sees either
+    no index or a whole one (two racing builders build equal ones).
+
     Outcome states are ordered canonically (see
     :func:`~repro.relational.ordering.database_sort_key`), never by
     distribution insertion order: the cumulative-weight index — and with
@@ -58,26 +64,31 @@ class CachedRow:
     sort order-isomorphically.
     """
 
-    __slots__ = ("distribution", "_outcomes", "_cumulative")
+    __slots__ = ("distribution", "_index")
 
     def __init__(self, distribution: Distribution[Database]):
         self.distribution = distribution
-        self._outcomes = sorted(distribution, key=database_sort_key)
-        self._cumulative = list(
-            accumulate(float(distribution.probability(o)) for o in self._outcomes)
+        self._index: tuple[list[Database], list[float]] | None = None
+
+    def _build_index(self) -> tuple[list[Database], list[float]]:
+        outcomes = sorted(self.distribution, key=database_sort_key)
+        cumulative = list(
+            accumulate(float(self.distribution.probability(o)) for o in outcomes)
         )
+        self._index = (outcomes, cumulative)
+        return self._index
 
     def sample(self, rng: random.Random) -> Database:
         """Draw one successor state (one uniform draw, one bisection)."""
-        total = self._cumulative[-1]
-        pick = rng.random() * total
-        index = bisect_right(self._cumulative, pick)
-        if index >= len(self._outcomes):
-            index = len(self._outcomes) - 1
-        return self._outcomes[index]
+        outcomes, cumulative = self._index or self._build_index()
+        pick = rng.random() * cumulative[-1]
+        index = bisect_right(cumulative, pick)
+        if index >= len(outcomes):
+            index = len(outcomes) - 1
+        return outcomes[index]
 
     def __len__(self) -> int:
-        return len(self._outcomes)
+        return len(self.distribution)
 
 
 class TransitionCache:

@@ -3,8 +3,8 @@
 The Theorem 4.3 and Theorem 5.6 samplers are embarrassingly parallel:
 every trial is an independent walk whose tally merges into one
 Chernoff-valid estimate.  This module fans the planned trials out over
-a :class:`concurrent.futures.ProcessPoolExecutor` while preserving the
-three contracts the rest of the library depends on:
+the supervised worker pool (:mod:`repro.perf.supervisor`) while
+preserving the three contracts the rest of the library depends on:
 
 * **Determinism** — each worker runs an independent RNG stream seeded
   by ``master.getrandbits(64)`` draws taken in worker order, so a fixed
@@ -32,7 +32,6 @@ from __future__ import annotations
 import multiprocessing
 import random
 import time
-from concurrent.futures import FIRST_EXCEPTION, Future, ProcessPoolExecutor, wait
 from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
@@ -41,10 +40,6 @@ from repro.obs.profile import drain_worker_spans, stitch_spans, worker_tracer
 from repro.obs.trace import NullTracer, Tracer
 from repro.runtime.budget import Budget
 from repro.runtime.context import RunContext
-
-#: Seconds between parent-side budget/cancellation polls while waiting.
-_POLL_INTERVAL = 0.05
-
 
 @dataclass(frozen=True)
 class ParallelConfig:
@@ -59,16 +54,14 @@ class ParallelConfig:
     start_method:
         ``multiprocessing`` start method; ``None`` picks ``"fork"``
         where available (Linux) and the platform default elsewhere.
-    persistent:
-        With the default ``True``, trials run on the supervised warm
-        worker pool (:mod:`repro.perf.supervisor`): processes persist
-        across runs, keep warm transition caches, heartbeat, and are
-        restarted on crash/hang with chunks re-dispatched
-        idempotently.  ``False`` keeps the legacy spawn-per-call
-        :class:`~concurrent.futures.ProcessPoolExecutor` (used by the
-        benchmark comparison and as an escape hatch).  Both paths use
-        identical seeds, chunking, and merge order, so results are
-        bit-identical between them for a fixed ``(seed, workers)``.
+
+    Trials run on the supervised warm worker pool
+    (:mod:`repro.perf.supervisor`): processes persist across runs, keep
+    warm transition caches, heartbeat, and are restarted on crash/hang
+    with chunks re-dispatched idempotently.  A run that finds the warm
+    pool busy gets a one-shot pool with the same seeds, chunking and
+    merge order, so results are bit-identical either way for a fixed
+    ``(seed, workers)``.
 
     Examples
     --------
@@ -78,7 +71,6 @@ class ParallelConfig:
 
     workers: int = 1
     start_method: str | None = None
-    persistent: bool = True
 
     def __post_init__(self) -> None:
         if self.workers < 1:
@@ -94,15 +86,6 @@ class ParallelConfig:
     def enabled(self) -> bool:
         """Whether a pool will actually be used."""
         return self.workers > 1
-
-    def mp_context(self):
-        """The resolved multiprocessing context."""
-        method = self.start_method
-        if method is None:
-            method = (
-                "fork" if "fork" in multiprocessing.get_all_start_methods() else None
-            )
-        return multiprocessing.get_context(method)
 
 
 # -- deterministic seeding and budget pro-rating ---------------------------
@@ -152,8 +135,8 @@ def prorated_budgets(context: RunContext | None, workers: int) -> list[Budget]:
 
 # -- worker-side context ---------------------------------------------------
 
-#: Cross-process cancellation flag, installed by the pool initializer
-#: (legacy pool) or the supervisor's worker main loop.
+#: Cross-process cancellation flag, installed by the supervisor's
+#: worker main loop.
 _CANCEL_EVENT: Any = None
 
 #: Shared heartbeat timestamp (``multiprocessing.Value("d")``) bumped
@@ -171,11 +154,6 @@ _PERSISTENT = False
 #: kernel object (``repr`` is the kernels' identity: it renders the
 #: full algebra tree).
 _WARM_CACHES: dict[tuple[str, int], Any] = {}
-
-
-def _pool_initializer(cancel_event: Any) -> None:
-    global _CANCEL_EVENT
-    _CANCEL_EVENT = cancel_event
 
 
 def _warm_cache(kernel: Any, cache_size: int | None) -> Any:
@@ -333,8 +311,8 @@ def absorb_worker_payload(
 ) -> None:
     """Stitch a returned task payload's spans/ledger into the parent.
 
-    Called at result-receipt time (the supervisor's results loop, or
-    the legacy executor's gather), when the dispatching span is still
+    Called at result-receipt time (the supervisor's results loop),
+    when the dispatching span is still
     open on the parent tracer — that is what parents stitched roots
     under.  Mutates ``payload`` by popping the observability keys.
     """
@@ -362,65 +340,18 @@ def run_worker_pool(
     config: ParallelConfig,
     context: RunContext | None = None,
 ) -> list[dict]:
-    """Run one task per worker, merging budget/cancellation semantics.
+    """Run one task per worker on the supervised pool; results in task order.
 
     Blocks until every worker finishes; polls the parent ``context``
     while waiting so a cancellation or wall-clock trip in the parent
-    propagates to the workers via the shared event.  The first worker
-    exception (e.g. a pro-rated budget trip) is re-raised in the parent
-    after the remaining workers have been told to stop.
-
-    With ``config.persistent`` (the default) the tasks run on the
-    supervised warm pool — same ordering, budget, and cancellation
-    semantics, plus crash/hang recovery; ``persistent=False`` keeps the
-    legacy spawn-per-call executor below.
+    propagates to the workers.  The first non-retryable worker failure
+    (e.g. a pro-rated budget trip) is re-raised in the parent after the
+    remaining workers have been told to stop; crashes, stalls and
+    transient faults are retried (see :func:`~repro.perf.supervisor.supervised_run`).
     """
-    if config.persistent:
-        from repro.perf.supervisor import supervised_run
+    from repro.perf.supervisor import supervised_run
 
-        return supervised_run(worker, tasks, config, context)
-    return _run_executor_pool(worker, tasks, config, context)
-
-
-def _run_executor_pool(
-    worker: Callable[[dict], dict],
-    tasks: Sequence[dict],
-    config: ParallelConfig,
-    context: RunContext | None = None,
-) -> list[dict]:
-    """The legacy spawn-per-call pool (``persistent=False``)."""
-    mp_context = config.mp_context()
-    cancel_event = mp_context.Event()
-    with ProcessPoolExecutor(
-        max_workers=len(tasks),
-        mp_context=mp_context,
-        initializer=_pool_initializer,
-        initargs=(cancel_event,),
-    ) as pool:
-        futures: list[Future] = [pool.submit(worker, task) for task in tasks]
-        try:
-            pending = set(futures)
-            while pending:
-                done, pending = wait(
-                    pending, timeout=_POLL_INTERVAL, return_when=FIRST_EXCEPTION
-                )
-                for future in done:
-                    future.result()  # re-raise worker failures eagerly
-                if context is not None:
-                    context.check()
-        except BaseException:
-            cancel_event.set()
-            for future in futures:
-                future.cancel()
-            raise
-    results = [future.result() for future in futures]
-    for index, payload in enumerate(results):
-        # Legacy pool: one fresh process per task, so the task index
-        # stands in for a worker id and the generation is always 0.
-        absorb_worker_payload(
-            context, payload, worker_id=index, spawn_generation=0
-        )
-    return results
+    return supervised_run(worker, tasks, config, context)
 
 
 def merge_tallies(tallies: Sequence[dict]) -> dict:

@@ -1,12 +1,10 @@
 """Supervised persistent workers for the parallel samplers.
 
-``BENCH_2026-08-06`` showed the spawn-per-call
-:class:`~concurrent.futures.ProcessPoolExecutor` path losing to
-sequential execution: every parallel run paid process startup, module
-import, and a cold :class:`~repro.perf.cache.TransitionCache` before the
-first trial ran.  The :class:`WorkerSupervisor` replaces it with
-long-lived warm workers, and adds the fault tolerance the pool never
-had:
+A pool spawned per call pays process startup, module import, and a
+cold :class:`~repro.perf.cache.TransitionCache` before the first trial
+of every run (``BENCH_2026-08-06`` measured such a pool losing to
+sequential execution).  The :class:`WorkerSupervisor` keeps long-lived
+warm workers instead, and adds fault tolerance:
 
 * **Warm processes** — workers are spawned once and reused across runs;
   each keeps a private registry of transition caches keyed by the
@@ -291,12 +289,12 @@ class WorkerSupervisor:
     ) -> list[dict]:
         """Run every task to completion; results in task order.
 
-        Semantics match the legacy pool driver: the parent polls its
-        ``context`` while waiting (cancellation/deadline propagate via
-        the shared event), the first non-retryable failure is re-raised
-        after the surviving workers are told to stop, and retryable
-        failures (crash, stall, injected transient faults) re-dispatch
-        the chunk within the retry and restart budgets.
+        The parent polls its ``context`` while waiting
+        (cancellation/deadline propagate via the shared event), the
+        first non-retryable failure is re-raised after the surviving
+        workers are told to stop, and retryable failures (crash, stall,
+        injected transient faults) re-dispatch the chunk within the
+        retry and restart budgets.
         """
         with self._run_lock:
             return self._run_locked(worker, tasks, context)
@@ -571,10 +569,11 @@ def supervised_run(
 ) -> list[dict]:
     """Run tasks on the warm supervised pool (or a one-shot fallback).
 
-    This is the persistent path behind
-    :func:`~repro.perf.parallel.run_worker_pool`; callers keep the
-    legacy pool semantics (ordering, budgets, cancellation) and gain
-    restart/retry fault tolerance and warm worker caches.
+    The pool behind :func:`~repro.perf.parallel.run_worker_pool`: results
+    in task order, pro-rated budgets, cancellation through the parent
+    context, restart/retry fault tolerance and warm worker caches.  A
+    run that finds the warm pool busy (another run holds it) gets a
+    one-shot :class:`WorkerSupervisor` with identical seeds and chunking.
     """
     sup_config = SupervisorConfig.from_parallel(config)
     supervisor = _lease_warm_pool(sup_config)

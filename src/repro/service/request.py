@@ -24,8 +24,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
-from typing import Any, Mapping
+from typing import Any, Callable, Mapping
 
 from repro.errors import InvalidRequestError
 from repro.runtime.budget import Budget
@@ -53,7 +54,44 @@ _PARAMS = {
 #: repro.core.evaluation.backend; ``sparse`` (forever-queries only)
 #: answers through the certified CSR rung first, keeping the fallback
 #: ladder behind it.
-_BACKENDS = (None, "frozenset", "columnar", "sparse")
+_BACKENDS = ("frozenset", "columnar", "sparse")
+
+#: Degradation ladders (repro.runtime.degradation) and partition modes.
+_FALLBACKS = ("none", "sparse", "lumped", "mcmc", "auto")
+_PARTITIONS = ("auto", "off")
+
+
+def _is_int(value: Any) -> bool:
+    # bool is an int subclass; ``true`` is never a count or a seed.
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value: Any) -> bool:
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an integer beyond float range
+        return False
+
+
+#: Per param: the check a non-null value must pass, and what it must be.
+#: ``null`` always means "the evaluator's default".
+_PARAM_RULES: dict[str, tuple[Callable[[Any], bool], str]] = {
+    "samples": (lambda v: _is_int(v) and v >= 1, "an integer >= 1"),
+    "burn_in": (lambda v: _is_int(v) and v >= 0, "an integer >= 0"),
+    "max_states": (lambda v: _is_int(v) and v >= 1, "an integer >= 1"),
+    "workers": (lambda v: _is_int(v) and v >= 1, "an integer >= 1"),
+    "cache_size": (lambda v: _is_int(v) and v >= 0, "an integer >= 0"),
+    "seed": (_is_int, "an integer"),
+    "epsilon": (lambda v: _is_number(v) and v > 0, "a finite number > 0"),
+    "delta": (lambda v: _is_number(v) and 0 < v < 1, "a number in (0, 1)"),
+    "mcmc": (lambda v: isinstance(v, bool), "a boolean"),
+    "lumped": (lambda v: isinstance(v, bool), "a boolean"),
+    "backend": (lambda v: v in _BACKENDS, f"one of {list(_BACKENDS)}"),
+    "partition": (lambda v: v in _PARTITIONS, f"one of {list(_PARTITIONS)}"),
+    "fallback": (lambda v: v in _FALLBACKS, f"one of {list(_FALLBACKS)}"),
+}
 
 _BUDGET_KEYS = frozenset({"timeout", "max_steps"})
 
@@ -91,7 +129,8 @@ class QueryRequest:
         Optional pc-table JSON (datalog only, Definition 2.1).
     params:
         Evaluation parameters; the recognised keys per semantics are in
-        ``repro.service.request._PARAMS``.  Unknown keys are rejected.
+        ``repro.service.request._PARAMS``.  Unknown keys, and values of
+        the wrong type or range (``_PARAM_RULES``), are rejected.
     budget:
         Optional ``{"timeout": seconds, "max_steps": n}``.
     priority:
@@ -150,19 +189,15 @@ class QueryRequest:
             f"unknown params for {self.semantics!r}: {unknown}; "
             f"expected a subset of {sorted(allowed)}",
         )
-        _require(
-            self.params.get("backend") in _BACKENDS,
-            f"unknown backend {self.params.get('backend')!r}; "
-            f"expected one of {[b for b in _BACKENDS if b]}",
-        )
+        for key, value in self.params.items():
+            check, expected = _PARAM_RULES[key]
+            _require(
+                value is None or check(value),
+                f"param {key!r} must be {expected}, got {value!r}",
+            )
         _require(
             self.params.get("backend") != "sparse" or self.semantics == "forever",
             "backend 'sparse' applies to forever-queries only",
-        )
-        _require(
-            self.params.get("partition") in (None, "auto", "off"),
-            f"unknown partition mode {self.params.get('partition')!r}; "
-            "expected 'auto' or 'off'",
         )
         _require(isinstance(self.budget, Mapping), "budget must be a JSON object")
         bad_budget = sorted(set(self.budget) - _BUDGET_KEYS)

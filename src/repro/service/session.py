@@ -9,6 +9,15 @@ session does, so repeated queries against the same program (different
 events, seeds, ε/δ, modes) skip everything but the actual evaluation,
 and even that draws memoized transition rows.
 
+:meth:`EngineSession.evaluate` is also the one place that turns a
+:class:`~repro.service.request.QueryRequest` into an evaluator call and
+the result into a payload (its keys are tabled in ``docs/service.md``).
+The service evaluates on sessions from :meth:`EngineSession.prepare`
+(admission analysis, warm cache); ``repro forever|inflationary|datalog``
+evaluate the same request on a session from
+:meth:`EngineSession.from_request` (no analysis, no cache unless the
+request's ``cache_size`` param asks for one), so both answer alike.
+
 Sessions are immutable after preparation apart from the cache and the
 served-request counters, and the cache is thread-safe, so one session
 may serve concurrent scheduler workers.  A :class:`SessionPool` bounds
@@ -22,15 +31,33 @@ import time
 from collections import OrderedDict
 from typing import Any, Mapping
 
-from repro.analysis import AnalysisResult, DiagnosticReport, analyze_source
+from repro.analysis import AnalysisResult, DiagnosticReport, PlanHints, analyze_source
 from repro.analysis.datalog import check_rules
 from repro.analysis.kernel import check_kernel
-from repro.core import ForeverQuery, InflationaryQuery
+from repro.analysis.partition import compute_partition_plan
+from repro.core import (
+    ForeverQuery,
+    InflationaryQuery,
+    evaluate_forever_exact,
+    evaluate_forever_lumped,
+    evaluate_forever_mcmc,
+    evaluate_inflationary_exact,
+    evaluate_inflationary_sampling,
+)
 from repro.core.events import parse_event
+from repro.datalog import evaluate_datalog_exact, evaluate_datalog_sampling, parse_program
 from repro.errors import InvalidRequestError, ProgramRejectedError, ReproError
 from repro.io import database_from_json, pc_database_from_json
 from repro.perf.cache import TransitionCache
-from repro.runtime import DegradationPolicy, RunContext, evaluate_forever_resilient
+from repro.relational.parser import parse_interpretation
+from repro.runtime import (
+    DegradationPolicy,
+    RunContext,
+    can_partition,
+    ensure_context,
+    evaluate_forever_resilient,
+    evaluate_partitioned,
+)
 from repro.service.request import QueryRequest
 
 #: Default capacity of a session's warm transition cache.
@@ -48,8 +75,9 @@ def _exact_payload(result) -> dict:
         "probability_float": float(result.probability),
         "states_explored": result.states_explored,
     }
-    if result.details.get("backend"):
-        payload["backend"] = result.details["backend"]
+    for key in ("backend", "irreducible", "full_states", "quotient_states"):
+        if result.details.get(key) is not None:
+            payload[key] = result.details[key]
     return payload
 
 
@@ -63,7 +91,7 @@ def _sampling_payload(result) -> dict:
         "epsilon": result.epsilon,
         "delta": result.delta,
     }
-    for key in ("burn_in", "workers", "backend"):
+    for key in ("burn_in", "workers", "backend", "resumed_at"):
         if result.details.get(key) is not None:
             payload[key] = result.details[key]
     if result.details.get("cache"):
@@ -98,6 +126,53 @@ def result_payload(result) -> dict:
     return _sampling_payload(result)
 
 
+def _param(params: Mapping[str, Any], key: str, default: Any = None) -> Any:
+    """``params[key]``, or ``default`` when it is absent or null."""
+    value = params.get(key)
+    return default if value is None else value
+
+
+def _wants_sampling(params: Mapping[str, Any]) -> bool:
+    return (
+        bool(params.get("mcmc"))
+        or params.get("samples") is not None
+        or params.get("epsilon") is not None
+    )
+
+
+def _parallel_config(workers: int):
+    """A ParallelConfig for ``workers`` (None when sequential)."""
+    if workers <= 1:
+        return None
+    from repro.perf import ParallelConfig
+
+    return ParallelConfig(workers=workers)
+
+
+def _policy(params: Mapping[str, Any], mcmc_workers: int = 1) -> DegradationPolicy:
+    """The degradation ladder a request's params describe."""
+    return DegradationPolicy(
+        mode=_param(params, "fallback", "none"),
+        sparse_epsilon=_param(params, "epsilon", 1e-6),
+        mcmc_epsilon=_param(params, "epsilon", 0.1),
+        mcmc_delta=_param(params, "delta", 0.05),
+        mcmc_samples=params.get("samples"),
+        mcmc_burn_in=params.get("burn_in"),
+        mcmc_workers=mcmc_workers,
+        # cache_size 0 opts out of caching, as on every other path.
+        mcmc_cache_size=params.get("cache_size") or None,
+    )
+
+
+def _decode_inputs(request: QueryRequest) -> tuple:
+    """The request's database and pc-tables (or ``None``), decoded."""
+    pc = request.pc_tables
+    return (
+        database_from_json(dict(request.database)),
+        pc_database_from_json(dict(pc)) if pc is not None else None,
+    )
+
+
 def _rejection(report: DiagnosticReport) -> ProgramRejectedError:
     """A 400-mapped error carrying the analyzer's findings.
 
@@ -119,9 +194,11 @@ def _rejection(report: DiagnosticReport) -> ProgramRejectedError:
 class EngineSession:
     """A prepared program: parsed artifacts plus a warm transition cache.
 
-    Build one with :meth:`prepare`; evaluate any number of requests that
-    share its :meth:`~repro.service.request.QueryRequest.session_key`
-    with :meth:`evaluate`.
+    Build one with :meth:`prepare` (admission analysis, for the service)
+    or :meth:`from_request` (parsing only, for the CLI); evaluate any
+    number of requests that share its
+    :meth:`~repro.service.request.QueryRequest.session_key` with
+    :meth:`evaluate`.
 
     Examples
     --------
@@ -149,7 +226,8 @@ class EngineSession:
         program=None,
         database=None,
         pc_tables=None,
-        cache_size: int = DEFAULT_TRANSITION_CACHE_SIZE,
+        cache_size: int | None = DEFAULT_TRANSITION_CACHE_SIZE,
+        analysis: AnalysisResult | None = None,
     ):
         self.key = key
         self.semantics = semantics
@@ -157,19 +235,24 @@ class EngineSession:
         self.program = program
         self.database = database
         self.pc_tables = pc_tables
-        self.analysis: AnalysisResult | None = None
+        self.analysis = analysis
+        # Admission analysis supplies both; without it they are derived
+        # on first use (see ``hints`` and ``_partition_plan``).
+        self._hints = analysis.hints if analysis is not None else None
+        self._partition = analysis.partition if analysis is not None else None
         self.created_at = time.time()
         self.requests_served = 0
         self._served_lock = threading.Lock()
+        # None or 0: no transition cache, on either kernel.
         self._cache_size = cache_size
         # Columnar bundle: None = not yet requested; a str = compile
         # failed with that reason; a tuple = (CompiledKernel,
-        # ColumnarDatabase, columnar TransitionCache), built once and
-        # shared by every columnar request on this session.
+        # ColumnarDatabase, columnar TransitionCache or None), built
+        # once and shared by every columnar request on this session.
         self._columnar: "tuple | str | None" = None
         self._columnar_lock = threading.Lock()
         self._cache: TransitionCache | None = None
-        if kernel is not None:
+        if kernel is not None and cache_size:
             memo_kernel = kernel
             if semantics == "inflationary":
                 # The inflationary fixpoint check enumerates the pc-free
@@ -181,7 +264,7 @@ class EngineSession:
     def prepare(
         cls,
         request: QueryRequest,
-        cache_size: int = DEFAULT_TRANSITION_CACHE_SIZE,
+        cache_size: int | None = DEFAULT_TRANSITION_CACHE_SIZE,
     ) -> "EngineSession":
         """Parse, statically analyze, and compile a request's program once.
 
@@ -192,18 +275,13 @@ class EngineSession:
         dependent checks are *not* run here (a session is shared across
         events); see :meth:`check_event`.
         """
-        database = database_from_json(dict(request.database))
-        pc = (
-            pc_database_from_json(dict(request.pc_tables))
-            if request.pc_tables is not None
-            else None
-        )
+        database, pc = _decode_inputs(request)
         analysis = analyze_source(
             request.semantics, request.program, database=database, pc_tables=pc
         )
         if analysis.report.has_errors:
             raise _rejection(analysis.report)
-        session = cls(
+        return cls(
             key=request.session_key(),
             semantics=request.semantics,
             kernel=analysis.kernel,
@@ -211,21 +289,62 @@ class EngineSession:
             database=database,
             pc_tables=pc,
             cache_size=cache_size,
+            analysis=analysis,
         )
-        session.analysis = analysis
-        return session
+
+    @classmethod
+    def from_request(cls, request: QueryRequest) -> "EngineSession":
+        """A session that only parses the request's program and database.
+
+        The one-shot path of ``repro forever|inflationary|datalog``: no
+        admission analysis runs (its partition planner costs more than
+        many queries do), and there is no transition cache unless the
+        request's ``cache_size`` param asks for one.  Parse and
+        evaluation errors surface as they would without a service.
+        """
+        database, pc = _decode_inputs(request)
+        kernel = program = None
+        if request.semantics == "datalog":
+            program = parse_program(request.program)
+        else:
+            kernel = parse_interpretation(request.program)
+        return cls(
+            key=request.session_key(),
+            semantics=request.semantics,
+            kernel=kernel,
+            program=program,
+            database=database,
+            pc_tables=pc,
+            cache_size=request.params.get("cache_size"),
+        )
 
     # -- introspection --------------------------------------------------
 
     @property
     def cache(self) -> TransitionCache | None:
-        """The session's warm transition cache (``None`` for datalog)."""
+        """The session's warm transition cache (``None`` for datalog and
+        for a session built without one)."""
         return self._cache
 
     @property
-    def hints(self):
-        """The analyzer's :class:`~repro.analysis.hints.PlanHints` (or None)."""
-        return self.analysis.hints if self.analysis is not None else None
+    def hints(self) -> PlanHints:
+        """The program's :class:`~repro.analysis.hints.PlanHints`: the
+        analyzer's, or derived here on first use (PH001/PH006 need them)."""
+        if self._hints is None:
+            self._hints = (
+                PlanHints.for_program(self.program, self.pc_tables)
+                if self.semantics == "datalog"
+                else PlanHints.for_kernel(self.kernel, semantics=self.semantics)
+            )
+        return self._hints
+
+    def _partition_plan(self):
+        """The §5.1 partition plan: admission's, or planned on first use."""
+        if self._partition is None and self.analysis is None:
+            self._partition = compute_partition_plan(
+                self.kernel, database=self.database, semantics=self.semantics
+            )
+        return self._partition
 
     def check_event(self, event_text: str) -> DiagnosticReport:
         """Run the event-dependent checks for one request.
@@ -268,10 +387,10 @@ class EngineSession:
     def _columnar_artifacts(self, context: RunContext | None):
         """The session's compiled columnar bundle, built on first use.
 
-        Returns ``(CompiledKernel, ColumnarDatabase, TransitionCache)``
-        or ``None`` when the program is kernel-ineligible — the reason
-        is remembered, and every affected request counts one fallback
-        (``repro_kernel_fallback_total``).
+        Returns ``(CompiledKernel, ColumnarDatabase, TransitionCache or
+        None)`` or ``None`` when the program is kernel-ineligible — the
+        reason is remembered, and every affected request counts one
+        fallback (``repro_kernel_fallback_total``).
         """
         with self._columnar_lock:
             state = self._columnar
@@ -283,11 +402,12 @@ class EngineSession:
                 except KernelCompileError as error:
                     state = str(error)
                 else:
-                    state = (
-                        compiled,
-                        initial,
-                        TransitionCache(compiled, maxsize=self._cache_size),
+                    cache = (
+                        TransitionCache(compiled, maxsize=self._cache_size)
+                        if self._cache_size
+                        else None
                     )
+                    state = (compiled, initial, cache)
                 self._columnar = state
         if isinstance(state, str):
             from repro.core.evaluation.backend import record_fallback
@@ -319,22 +439,23 @@ class EngineSession:
 
     def stats(self) -> dict:
         """JSON-friendly session snapshot for the metrics endpoint."""
-        hints = self.hints
         columnar = self._columnar
+        if isinstance(columnar, tuple):
+            cache = columnar[2]
+            columnar = {
+                "compiled": True,
+                "transition_cache": cache.stats() if cache else None,
+            }
+        elif columnar is not None:
+            columnar = {"compiled": False, "reason": columnar}
         return {
             "key": self.key,
             "semantics": self.semantics,
             "created_at": self.created_at,
             "requests_served": self.requests_served,
             "transition_cache": self._cache.stats() if self._cache else None,
-            "plan_hints": hints.as_dict() if hints is not None else None,
-            "columnar": (
-                {"compiled": True, "transition_cache": columnar[2].stats()}
-                if isinstance(columnar, tuple)
-                else {"compiled": False, "reason": columnar}
-                if columnar is not None
-                else None
-            ),
+            "plan_hints": self.hints.as_dict(),
+            "columnar": columnar,
         }
 
     # -- evaluation -----------------------------------------------------
@@ -343,6 +464,9 @@ class EngineSession:
         self,
         request: QueryRequest,
         context: RunContext | None = None,
+        *,
+        checkpoint_path: str | None = None,
+        resume: str | None = None,
     ) -> dict:
         """Evaluate one request on this prepared engine.
 
@@ -350,19 +474,29 @@ class EngineSession:
         :class:`~repro.errors.ReproError` the evaluators raise —
         budget exhaustion and cancellation included — unchanged, so the
         scheduler can classify the failure.
+
+        ``checkpoint_path`` / ``resume`` reach the Theorem 5.6 sampler
+        (directly, or as the fallback ladder's MCMC rung); ``resume``
+        also asks for that sampler.  They are arguments rather than
+        request params because a request must never name a file on the
+        server: only the CLI passes them.
         """
         if request.session_key() != self.key:
             raise InvalidRequestError(
                 "request does not belong to this session "
                 f"(session {self.key[:12]}…, request {request.session_key()[:12]}…)"
             )
-        dispatch = {
-            "forever": self._evaluate_forever,
-            "inflationary": self._evaluate_inflationary,
-            "datalog": self._evaluate_datalog,
-        }
+        # The payload reports downgrades, so a run always has a context.
+        context = ensure_context(context)
         kernel_ops_before = self._op_timings_snapshot()
-        payload = dispatch[self.semantics](request, context)
+        if self.semantics == "datalog":
+            payload = self._evaluate_datalog(request, context)
+        else:
+            payload = self._evaluate_kernel(
+                request, context, checkpoint_path, resume
+            )
+        if context.downgrades:
+            payload["downgrades"] = [d.as_dict() for d in context.downgrades]
         self._record_kernel_ops(context, kernel_ops_before)
         with self._served_lock:
             self.requests_served += 1
@@ -376,7 +510,7 @@ class EngineSession:
 
     def _record_kernel_ops(
         self,
-        context: RunContext | None,
+        context: RunContext,
         before: "dict[str, dict[str, float]] | None",
     ) -> None:
         """Attribute this request's share of the compiled kernel's
@@ -387,8 +521,6 @@ class EngineSession:
         A request that triggered the compile has no *before* snapshot —
         the whole total is its share.
         """
-        if context is None:
-            return
         columnar = self._columnar
         if not isinstance(columnar, tuple):
             return
@@ -404,73 +536,39 @@ class EngineSession:
         if delta:
             context.ledger.record_kernel_ops(delta)
 
-    @property
-    def _deterministic(self) -> bool:
-        hints = self.hints
-        return hints is not None and hints.deterministic
-
-    def _parallel_config(self, params: Mapping[str, Any]):
-        workers = params.get("workers") or 1
-        if workers <= 1:
-            return None
-        from repro.perf import ParallelConfig
-
-        return ParallelConfig(workers=workers)
-
-    def _walk_cache(self, params: Mapping[str, Any]) -> TransitionCache | None:
-        """The warm cache, unless the request opts out.
-
-        ``cache_size: 0`` disables caching for the request (the
-        polynomial ``sample_transition`` path, e.g. for kernels with
-        exponential per-state support); any other value keeps the
-        session cache — per-request sizes would defeat sharing.
-        """
-        if params.get("cache_size") == 0:
-            return None
-        return self._cache
-
     def _evaluate_partitioned(
         self,
         query,
         params: Mapping[str, Any],
         max_states: int,
-        context: RunContext | None,
+        context: RunContext,
     ) -> dict | None:
         """The ``partition: "auto"`` path (``PP001``).
 
-        Executes the admission-time partition plan: each independent
-        component on its own rung, recombined by independence.  Returns
-        ``None`` when the plan does not apply (single component, event
-        does not decompose) — the caller evaluates whole-program.
+        Executes the partition plan: each independent component on its
+        own rung, recombined by independence.  Returns ``None`` when the
+        plan does not apply (single component, event does not
+        decompose) — the caller evaluates whole-program.
         """
-        from repro.runtime.partition_exec import can_partition, evaluate_partitioned
-
-        plan = self.analysis.partition if self.analysis is not None else None
+        plan = self._partition_plan()
         if plan is None or not can_partition(plan, query.event):
-            return None
-        policy = None
-        if not isinstance(query, InflationaryQuery):
-            policy = DegradationPolicy(
-                mode=params.get("fallback") or "none",
-                sparse_epsilon=params.get("epsilon") or 1e-6,
-                mcmc_epsilon=params.get("epsilon") or 0.1,
-                mcmc_delta=params.get("delta") or 0.05,
-                mcmc_samples=params.get("samples"),
-                mcmc_burn_in=params.get("burn_in"),
-                mcmc_cache_size=params.get("cache_size"),
+            context.record_event(
+                "partition requested but the program does not split; "
+                "using whole-program evaluation"
             )
-        prefer_sparse = params.get("backend") == "sparse"
+            return None
+        backend = params.get("backend")
         result = evaluate_partitioned(
             query,
             self.database,
             plan,
             max_states=max_states,
-            policy=policy,
+            policy=None if self.semantics == "inflationary" else _policy(params),
             context=context,
             seed=params.get("seed"),
-            backend="columnar" if params.get("backend") == "columnar" else None,
-            prefer_sparse=prefer_sparse,
-            workers=params.get("workers") or 1,
+            backend="columnar" if backend == "columnar" else None,
+            prefer_sparse=backend == "sparse",
+            workers=_param(params, "workers", 1),
         )
         payload = result_payload(result)
         payload["partition"] = {
@@ -478,229 +576,145 @@ class EngineSession:
             "evaluated": len(result.details["components"]),
             "pruned": list(result.details["pruned"]),
         }
-        if context is not None:
-            downgrades = context.report().downgrades
-            if downgrades:
-                payload["downgrades"] = [d.as_dict() for d in downgrades]
         return payload
 
-    def _evaluate_forever(
-        self, request: QueryRequest, context: RunContext | None
+    def _evaluate_kernel(
+        self,
+        request: QueryRequest,
+        context: RunContext,
+        checkpoint_path: str | None,
+        resume: str | None,
     ) -> dict:
-        from repro.core import (
-            evaluate_forever_exact,
-            evaluate_forever_lumped,
-            evaluate_forever_mcmc,
-        )
-
+        """Forever- and inflationary-queries: pick the rung, run it."""
         params = request.params
-        query = ForeverQuery(self.kernel, parse_event(request.event))
-        initial = self.database
-        max_states = params.get("max_states") or 20_000
+        forever = self.semantics == "forever"
+        query_cls = ForeverQuery if forever else InflationaryQuery
+        query = query_cls(self.kernel, parse_event(request.event))
+        max_states = _param(params, "max_states", 20_000 if forever else 100_000)
+        workers = _param(params, "workers", 1)
         if params.get("partition") == "auto":
             partitioned = self._evaluate_partitioned(
                 query, params, max_states, context
             )
             if partitioned is not None:
                 return partitioned
-        fallback = params.get("fallback") or "none"
-        cache = self._walk_cache(params)
+        initial = self.database
+        # cache_size 0 opts the request out of the session cache; any
+        # other value keeps it — per-request sizes would defeat sharing.
+        opted_out = params.get("cache_size") == 0
+        cache = None if opted_out else self._cache
+        backend = params.get("backend")
+        ladder = forever and (
+            _param(params, "fallback", "none") != "none" or backend == "sparse"
+        )
+        sampling = _wants_sampling(params) or resume is not None
+        # PH001: the kernel makes no probabilistic choice — a requested
+        # estimate would converge on a number one exact run computes.
+        shortcut = sampling and not ladder and self.hints.deterministic
         backend_param: str | None = None
-        prefer_sparse = params.get("backend") == "sparse"
-        if params.get("backend") == "columnar":
-            if (params.get("workers") or 1) > 1:
+        precompiled = False
+        if backend == "columnar":
+            fans_out = workers > 1 and (ladder or (sampling and not shortcut))
+            if fans_out or checkpoint_path is not None or resume is not None:
                 # Compiled plans hold closures and arrays that do not
-                # pickle; the parallel dispatch ships the original query
-                # and each worker compiles in-process.
+                # pickle, and checkpoints hold frozenset walker states:
+                # the evaluator resolves (or falls back from) the backend.
                 backend_param = "columnar"
             else:
-                compiled = self._compiled_query(
-                    ForeverQuery, query.event, context
-                )
+                compiled = self._compiled_query(query_cls, query.event, context)
                 if compiled is not None:
                     query, initial, columnar_cache = compiled
-                    cache = (
-                        None if params.get("cache_size") == 0 else columnar_cache
-                    )
+                    cache = None if opted_out else columnar_cache
                     backend_param = "columnar"
-        if fallback != "none" or prefer_sparse:
-            policy = DegradationPolicy(
-                mode=fallback,
-                sparse_epsilon=params.get("epsilon") or 1e-6,
-                mcmc_epsilon=params.get("epsilon") or 0.1,
-                mcmc_delta=params.get("delta") or 0.05,
-                mcmc_samples=params.get("samples"),
-                mcmc_burn_in=params.get("burn_in"),
-                mcmc_workers=params.get("workers") or 1,
-                mcmc_cache_size=params.get("cache_size"),
+                    precompiled = True
+
+        def exact():
+            if forever:
+                return evaluate_forever_exact(
+                    query, initial, max_states=max_states,
+                    context=context, cache=cache, backend=backend_param,
+                )
+            return evaluate_inflationary_exact(
+                query, initial, max_states=max_states, context=context
             )
+
+        if ladder:
             result = evaluate_forever_resilient(
                 query,
                 initial,
                 max_states=max_states,
-                policy=policy,
+                policy=_policy(params, mcmc_workers=workers),
                 context=context,
                 rng=params.get("seed"),
+                checkpoint_path=checkpoint_path,
+                resume=resume,
                 cache=cache,
                 hints=self.hints,
                 backend=backend_param,
-                prefer_sparse=prefer_sparse,
+                prefer_sparse=backend == "sparse",
             )
             payload = result_payload(result)
-            if context is not None:
-                downgrades = context.report().downgrades
-                if downgrades:
-                    payload["downgrades"] = [d.as_dict() for d in downgrades]
-            return payload
-        wants_sampling = (
-            bool(params.get("mcmc"))
-            or params.get("samples") is not None
-            or params.get("epsilon") is not None
-        )
-        if wants_sampling and self._deterministic:
-            # PH001: the kernel makes no probabilistic choice — the
-            # requested estimate would converge on a number a single
-            # exact run computes outright.
-            result = evaluate_forever_exact(
-                query, initial, max_states=max_states,
-                context=context, cache=cache, backend=backend_param,
-            )
-            payload = result_payload(result)
+        elif shortcut:
+            payload = result_payload(exact())
             payload["hint_applied"] = "PH001"
-            return payload
-        if wants_sampling:
+        elif sampling and forever:
             result = evaluate_forever_mcmc(
                 query,
                 initial,
-                epsilon=params.get("epsilon") or 0.1,
-                delta=params.get("delta") or 0.05,
+                epsilon=_param(params, "epsilon", 0.1),
+                delta=_param(params, "delta", 0.05),
                 samples=params.get("samples"),
                 burn_in=params.get("burn_in"),
                 rng=params.get("seed"),
                 context=context,
-                cache=cache,
-                parallel=self._parallel_config(params),
+                checkpoint_path=checkpoint_path,
+                resume=resume,
+                # A resumed run replays the interrupted run's cache
+                # setting, which its checkpoint records.
+                cache=None if resume is not None else cache,
+                parallel=_parallel_config(workers),
                 backend=backend_param,
             )
-            return result_payload(result)
-        if params.get("lumped"):
-            result = evaluate_forever_lumped(
-                query, initial, max_states=max_states,
-                context=context, cache=cache, backend=backend_param,
-            )
-            return result_payload(result)
-        result = evaluate_forever_exact(
-            query, initial, max_states=max_states,
-            context=context, cache=cache, backend=backend_param,
-        )
-        return result_payload(result)
-
-    def _evaluate_inflationary(
-        self, request: QueryRequest, context: RunContext | None
-    ) -> dict:
-        from repro.core import (
-            evaluate_inflationary_exact,
-            evaluate_inflationary_sampling,
-        )
-
-        params = request.params
-        query = InflationaryQuery(self.kernel, parse_event(request.event))
-        initial = self.database
-        if params.get("partition") == "auto":
-            partitioned = self._evaluate_partitioned(
-                query, params, params.get("max_states") or 100_000, context
-            )
-            if partitioned is not None:
-                return partitioned
-        cache = self._walk_cache(params)
-        backend_param: str | None = None
-        used_columnar = False
-        if params.get("backend") == "columnar":
-            if (params.get("workers") or 1) > 1:
-                # See _evaluate_forever: compiled plans do not pickle.
-                backend_param = "columnar"
-            else:
-                compiled = self._compiled_query(
-                    InflationaryQuery, query.event, context
-                )
-                if compiled is not None:
-                    query, initial, columnar_cache = compiled
-                    cache = (
-                        None if params.get("cache_size") == 0 else columnar_cache
-                    )
-                    backend_param = "columnar"
-                    used_columnar = True
-        wants_sampling = (
-            params.get("samples") is not None or params.get("epsilon") is not None
-        )
-        if wants_sampling and self._deterministic:
-            result = evaluate_inflationary_exact(
-                query,
-                initial,
-                max_states=params.get("max_states") or 100_000,
-                context=context,
-            )
             payload = result_payload(result)
-            if used_columnar:
-                payload["backend"] = "columnar"
-            payload["hint_applied"] = "PH001"
-            return payload
-        if wants_sampling:
+        elif sampling:
             result = evaluate_inflationary_sampling(
                 query,
                 initial,
-                epsilon=params.get("epsilon") or 0.05,
-                delta=params.get("delta") or 0.05,
+                epsilon=_param(params, "epsilon", 0.05),
+                delta=_param(params, "delta", 0.05),
                 samples=params.get("samples"),
                 rng=params.get("seed"),
                 context=context,
                 cache=cache,
-                parallel=self._parallel_config(params),
+                parallel=_parallel_config(workers),
                 backend=backend_param,
             )
-            return result_payload(result)
-        result = evaluate_inflationary_exact(
-            query,
-            initial,
-            max_states=params.get("max_states") or 100_000,
-            context=context,
-        )
-        payload = result_payload(result)
-        if used_columnar:
+            payload = result_payload(result)
+        elif forever and params.get("lumped"):
+            result = evaluate_forever_lumped(
+                query, initial, max_states=max_states,
+                context=context, cache=cache, backend=backend_param,
+            )
+            payload = result_payload(result)
+        else:
+            payload = result_payload(exact())
+        if precompiled:
+            # The inflationary exact evaluator takes no backend argument.
             payload["backend"] = "columnar"
         return payload
 
-    def _evaluate_datalog(
-        self, request: QueryRequest, context: RunContext | None
-    ) -> dict:
-        from repro.datalog import evaluate_datalog_exact, evaluate_datalog_sampling
-
+    def _evaluate_datalog(self, request: QueryRequest, context: RunContext) -> dict:
         params = request.params
         event = parse_event(request.event)
-        wants_sampling = (
-            params.get("samples") is not None or params.get("epsilon") is not None
-        )
-        if wants_sampling and self._deterministic:
-            result = evaluate_datalog_exact(
-                self.program,
-                self.database,
-                event,
-                pc_tables=self.pc_tables,
-                max_states=params.get("max_states") or 100_000,
-                context=context,
-            )
-            payload = result_payload(result)
-            payload["pc_worlds"] = result.details.get("pc_worlds", 1)
-            payload["hint_applied"] = "PH001"
-            return payload
-        if wants_sampling:
+        sampling = _wants_sampling(params)
+        if sampling and not self.hints.deterministic:
             result = evaluate_datalog_sampling(
                 self.program,
                 self.database,
                 event,
                 pc_tables=self.pc_tables,
-                epsilon=params.get("epsilon") or 0.05,
-                delta=params.get("delta") or 0.05,
+                epsilon=_param(params, "epsilon", 0.05),
+                delta=_param(params, "delta", 0.05),
                 samples=params.get("samples"),
                 rng=params.get("seed"),
                 context=context,
@@ -711,11 +725,13 @@ class EngineSession:
             self.database,
             event,
             pc_tables=self.pc_tables,
-            max_states=params.get("max_states") or 100_000,
+            max_states=_param(params, "max_states", 100_000),
             context=context,
         )
         payload = result_payload(result)
         payload["pc_worlds"] = result.details.get("pc_worlds", 1)
+        if sampling:
+            payload["hint_applied"] = "PH001"
         return payload
 
 

@@ -90,6 +90,27 @@ class TestSamplingEquivalence:
                 make_rng(seed)
             )
 
+    def test_chain_build_never_builds_the_sampling_index(self, walk, monkeypatch):
+        """Chain builders read only the rows' distributions, so the
+        sorted cumulative index is left for the first draw to build."""
+        import repro.perf.cache as cache_module
+
+        calls = []
+        sort_key = cache_module.database_sort_key
+
+        def counted(state):
+            calls.append(state)
+            return sort_key(state)
+
+        monkeypatch.setattr(cache_module, "database_sort_key", counted)
+        query, db = walk
+        cache = TransitionCache(query.kernel)
+        chain = build_state_chain(query.kernel, db, cache=cache)
+        assert chain.size == 5 and cache.misses == 5
+        assert calls == []
+        cache.sample(db, make_rng(1))
+        assert calls
+
     def test_cached_walk_visits_correct_support(self, walk):
         query, db = walk
         cache = TransitionCache(query.kernel)

@@ -15,7 +15,8 @@ from repro.core import evaluate_forever_mcmc
 from repro.errors import WorkerPoolError
 from repro.faults import SITE_SUPERVISOR_TASK, FaultPlan, FaultSpec
 from repro.perf import ParallelConfig, prewarm, warm_pool_stats
-from repro.perf.supervisor import HEARTBEAT_TIMEOUT_ENV
+from repro.perf import supervisor as supervisor_module
+from repro.perf.supervisor import HEARTBEAT_TIMEOUT_ENV, SupervisorConfig
 from repro.runtime import RunContext
 from repro.workloads import cycle_graph, random_walk_query
 
@@ -44,7 +45,7 @@ def chaos_hygiene(monkeypatch):
     faults.uninstall()
 
 
-def run_walk(walk, *, persistent=True, context=None):
+def run_walk(walk, *, context=None):
     query, db = walk
     return evaluate_forever_mcmc(
         query,
@@ -52,15 +53,39 @@ def run_walk(walk, *, persistent=True, context=None):
         samples=SAMPLES,
         burn_in=BURN_IN,
         rng=SEED,
-        parallel=ParallelConfig(workers=WORKERS, persistent=persistent),
+        parallel=ParallelConfig(workers=WORKERS),
         context=context,
     )
 
 
+def run_walk_one_shot(walk):
+    """``run_walk`` while another run holds the warm pool: the dispatch
+    falls back to a one-shot WorkerSupervisor spawned for this call.
+    Returns the result and the number of supervisors the run spawned."""
+    cls = supervisor_module.WorkerSupervisor
+    init, spawned = cls.__init__, []
+
+    def counted(self, config):
+        spawned.append(config)
+        init(self, config)
+
+    warm = supervisor_module._lease_warm_pool(
+        SupervisorConfig.from_parallel(ParallelConfig(workers=WORKERS))
+    )
+    cls.__init__ = counted
+    try:
+        return run_walk(walk), len(spawned)
+    finally:
+        cls.__init__ = init
+        if warm is not None:
+            warm._run_lock.release()
+
+
 class TestDeterminism:
     def test_warm_pool_bit_identical_to_spawn_per_call(self, walk):
-        warm = run_walk(walk, persistent=True)
-        cold = run_walk(walk, persistent=False)
+        warm = run_walk(walk)
+        cold, spawned = run_walk_one_shot(walk)
+        assert spawned == 1
         assert warm.positive == cold.positive
         assert warm.estimate == cold.estimate
         assert warm.samples == cold.samples == SAMPLES

@@ -68,6 +68,22 @@ class TestEngineSession:
         session.evaluate(request)
         assert session.cache.hits + session.cache.misses == 0
 
+    @pytest.mark.parametrize("cache_size", [None, 0, 8])
+    def test_from_request_caches_only_when_the_request_asks(self, cache_size):
+        request = make_request(
+            params={"mcmc": True, "samples": 50, "seed": 3,
+                    "burn_in": 8, "cache_size": cache_size}
+        )
+        session = EngineSession.from_request(request)
+        payload = session.evaluate(request)
+        assert session.analysis is None
+        if cache_size:
+            assert session.cache.maxsize == cache_size
+            assert payload["transition_cache"]["misses"] > 0
+        else:
+            assert session.cache is None
+            assert "transition_cache" not in payload
+
     def test_fallback_degrades_and_reports(self, walk_request):
         request = make_request(
             params={"fallback": "lumped", "max_states": 1}

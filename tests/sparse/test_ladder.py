@@ -129,7 +129,7 @@ class TestCliSurface:
         ])
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
-        assert payload["mode"].startswith("sparse certified")
+        assert payload["kind"] == "sparse"
         assert payload["certificate"]["satisfied"] is True
         assert abs(payload["probability_float"] - 1 / 3) <= (
             payload["certificate"]["bound"]

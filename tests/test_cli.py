@@ -113,7 +113,7 @@ class TestDatalogCommand:
         )
         assert code == 0
         out = capsys.readouterr().out
-        assert "Theorem 4.3" in out
+        assert "method: datalog-thm-4.3" in out
 
     def test_json_output(self, workspace, capsys):
         code = main(
@@ -138,7 +138,9 @@ class TestForeverCommand:
             ["forever", workspace["walk"], "--db", workspace["db"], "--event", "C(b)"]
         )
         assert code == 0
-        assert "1/3" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "1/3" in out
+        assert "irreducible: True" in out
 
     def test_mcmc(self, workspace, capsys):
         code = main(
@@ -159,7 +161,7 @@ class TestForeverCommand:
             ]
         )
         assert code == 0
-        assert "Theorem 5.6" in capsys.readouterr().out
+        assert "method: thm-5.6" in capsys.readouterr().out
 
 
 class TestInflationaryCommand:
@@ -333,13 +335,15 @@ class TestResourceLimits:
         assert code == 0
         resumed = json.loads(capsys.readouterr().out)
         assert resumed["estimate"] == full["estimate"]
-        assert resumed["resumed_at_sample"] > 0
+        assert resumed["resumed_at"] > 0
 
     def test_keyboard_interrupt_exits_130(self, workspace, capsys, monkeypatch):
         def interrupted(*args, **kwargs):
             raise KeyboardInterrupt
 
-        monkeypatch.setattr("repro.cli.evaluate_forever_mcmc", interrupted)
+        monkeypatch.setattr(
+            "repro.service.session.evaluate_forever_mcmc", interrupted
+        )
         code = main(
             [
                 "forever",
@@ -372,5 +376,6 @@ class TestLumpedFlag:
         )
         assert code == 0
         out = capsys.readouterr().out
-        assert "lumped quotient" in out
+        assert "method: lumped" in out
         assert "probability: 1/3" in out
+        assert "full_states: 2" in out and "quotient_states: 2" in out

@@ -130,19 +130,19 @@ class TestExitOneThirty:
         ("target", "argv"),
         [
             (
-                "evaluate_datalog_exact",
+                "repro.service.session.evaluate_datalog_exact",
                 ["datalog", "{datalog}", "--db", "{db}", "--event", "c(w)"],
             ),
             (
-                "evaluate_forever_exact",
+                "repro.service.session.evaluate_forever_exact",
                 ["forever", "{walk}", "--db", "{db}", "--event", "C(b)"],
             ),
             (
-                "evaluate_inflationary_exact",
+                "repro.service.session.evaluate_inflationary_exact",
                 ["inflationary", "{reach}", "--db", "{db}", "--event", "C(b)"],
             ),
             (
-                "build_state_chain",
+                "repro.cli.build_state_chain",
                 ["chain", "{walk}", "--db", "{db}"],
             ),
         ],
@@ -152,7 +152,7 @@ class TestExitOneThirty:
         def interrupt(*args, **kwargs):
             raise KeyboardInterrupt
 
-        monkeypatch.setattr(f"repro.cli.{target}", interrupt)
+        monkeypatch.setattr(target, interrupt)
         resolved = [part.format(**workspace) for part in argv]
         assert main(resolved) == 130
         assert "interrupted" in capsys.readouterr().err
@@ -165,7 +165,9 @@ class TestExitOneThirty:
         def interrupt(*args, **kwargs):
             raise KeyboardInterrupt
 
-        monkeypatch.setattr("repro.cli.evaluate_forever_mcmc", interrupt)
+        monkeypatch.setattr(
+            "repro.service.session.evaluate_forever_mcmc", interrupt
+        )
         assert main([
             "forever", workspace["walk"], "--db", workspace["db"],
             "--event", "C(b)", "--mcmc", "--checkpoint", str(checkpoint),

@@ -47,7 +47,7 @@ class TestTracedRun:
         run = records[-1]
         assert run["type"] == "run"
         assert run["outcome"] == "ok"
-        assert "mcmc" in run["mode"].lower()
+        assert (run["kind"], run["method"]) == ("sampling", "thm-5.6")
         # MCMC samples trajectories directly — no chain materialisation.
         span_names = {r["name"] for r in records if r["type"] == "span"}
         assert {"parse", "sample"} <= span_names
