@@ -1,68 +1,72 @@
-"""Experiment A4 — rational vs float chain solving (implementation
-ablation, not a paper claim).
+"""Experiment A4 — rational vs certified float chain solving
+(implementation ablation, not a paper claim).
 
 The exact evaluator (Prop 5.4 / Thm 5.5) uses Gaussian elimination over
-ℚ so the paper's identities can be checked with ``==``; the float64
-twin solves the same systems with LAPACK.  This ablation measures the
-crossover: agreement stays ≤ 1e-9 while the rational solver's cost
-grows much faster with chain size.
+ℚ so the paper's identities can be checked with ``==``; the sparse rung
+streams the same chain into CSR form and solves it iteratively, with a
+:class:`~repro.sparse.SolveCertificate` bounding its distance from the
+exact rational.  This ablation checks that every sparse answer lies
+inside its certificate and measures both costs as the chain grows.
 """
 
 from __future__ import annotations
 
 import time
+from fractions import Fraction
 
-from repro.core import evaluate_forever_exact, evaluate_forever_numeric
+from repro.core import evaluate_forever_exact
+from repro.sparse import evaluate_forever_sparse
 from repro.workloads import erdos_renyi, random_walk_query
 
 from benchmarks.conftest import format_table
 
 
-def test_exact_vs_numeric(benchmark, report):
+def test_exact_vs_sparse(benchmark, report):
     rows = []
-    exact_times = {}
-    numeric_times = {}
     for size in (4, 8, 12, 16):
         graph = erdos_renyi(size, 0.3, rng=size)
         query, db = random_walk_query(graph, "n0", "n1")
 
         t0 = time.perf_counter()
         exact = evaluate_forever_exact(query, db)
-        exact_times[size] = time.perf_counter() - t0
+        exact_time = time.perf_counter() - t0
 
         t0 = time.perf_counter()
-        numeric = evaluate_forever_numeric(query, db)
-        numeric_times[size] = time.perf_counter() - t0
+        sparse = evaluate_forever_sparse(query, db)
+        sparse_time = time.perf_counter() - t0
 
-        gap = abs(numeric.probability - float(exact.probability))
-        assert gap < 1e-9
+        assert sparse.states_explored == exact.states_explored
+        gap = abs(Fraction(sparse.probability) - exact.probability)
+        assert gap <= Fraction(sparse.certificate.bound)
         rows.append(
             [
                 size,
                 exact.states_explored,
-                f"{exact_times[size] * 1e3:.1f} ms",
-                f"{numeric_times[size] * 1e3:.1f} ms",
-                f"{gap:.1e}",
+                f"{exact_time * 1e3:.1f} ms",
+                f"{sparse_time * 1e3:.1f} ms",
+                f"{float(gap):.1e}",
+                f"{sparse.certificate.bound:.1e}",
             ]
         )
-
-    # the rational solver loses ground as the chain grows
-    assert (
-        exact_times[16] / numeric_times[16]
-        > exact_times[4] / numeric_times[4] * 0.5
-    )
 
     graph = erdos_renyi(10, 0.3, rng=10)
     query, db = random_walk_query(graph, "n0", "n1")
     benchmark.pedantic(
-        lambda: evaluate_forever_numeric(query, db), rounds=3, iterations=1
+        lambda: evaluate_forever_sparse(query, db), rounds=3, iterations=1
     )
 
     report(
         *format_table(
-            "A4 — exact (ℚ Gaussian elimination) vs float64 (LAPACK) "
-            "forever-query evaluation",
-            ["graph nodes", "chain states", "exact time", "float time", "|difference|"],
+            "A4 — exact (ℚ Gaussian elimination) vs sparse certified "
+            "(CSR + residual certificate) forever-query evaluation",
+            [
+                "graph nodes",
+                "chain states",
+                "exact time",
+                "sparse time",
+                "|difference|",
+                "certified bound",
+            ],
             rows,
         )
     )

@@ -130,8 +130,8 @@ def cli_smoke(states: int) -> None:
 
         # A budget the exact rung cannot meet must *downgrade* onto the
         # sparse rung, with the reason on the run report.  The sparse
-        # rung gets a 25x state allowance (DegradationPolicy
-        # sparse_state_factor), so a budget of states/25 + 1 starves
+        # rung gets a 25x state allowance (SPARSE_STATE_FACTOR in
+        # repro.runtime.degradation), so a budget of states/25 + 1 starves
         # exact while leaving sparse feasible.
         budget = states // 25 + 1
         payload = run_cli(base + ["--fallback", "sparse",

@@ -31,8 +31,6 @@ from repro.core import (
     build_state_chain,
     evaluate_forever_exact,
     evaluate_forever_mcmc,
-    evaluate_forever_numeric,
-    evaluate_forever_partitioned,
     evaluate_inflationary_exact,
     evaluate_inflationary_sampling,
     inflationary_interpretation,
@@ -197,8 +195,6 @@ __all__ = [
     "evaluate_datalog_sampling",
     "evaluate_forever_exact",
     "evaluate_forever_mcmc",
-    "evaluate_forever_numeric",
-    "evaluate_forever_partitioned",
     "evaluate_forever_resilient",
     "evaluate_inflationary_exact",
     "evaluate_inflationary_sampling",

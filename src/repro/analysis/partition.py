@@ -1,18 +1,29 @@
-"""Partition planner: static program decomposition (Section 5.1).
+"""Partition planner: program decomposition (Section 5.1).
 
 The paper's provenance-based partitioning observes that a forever-query
 over independent sub-programs factorizes: the induced Markov chain is a
 *product* chain, so the event probability can be computed per component
 and recombined by independence instead of exploring the product state
-space.  The dynamic form of that optimisation lives in
-:mod:`repro.core.evaluation.partitioning` (tuple-level provenance
-classes discovered at run time).  This module is its *static*
-counterpart: a pure analysis over the kernel's dependency structure
-that decides, **before evaluation starts**, how a program splits and
-what each part will cost.
+space.  This module decides, **before evaluation starts**, how a
+program splits; :mod:`repro.runtime.partition_exec` runs the result.
+It builds two kinds of :class:`PartitionPlan`:
 
-Terminology
------------
+relation level (:func:`compute_partition_plan`)
+    A pure analysis over the kernel's dependency structure whose
+    components are sets of relations.  It is cheap and
+    event-independent, so lint and service admission report it
+    (``PP0xx``).
+
+tuple level (:func:`compute_tuple_plan`)
+    The paper's own granularity: components are classes of base tuples
+    that share no provenance, discovered by running the kernel
+    inflationarily on the database (see :func:`compute_tuple_plan` for
+    the coupling rules).  It splits programs the relation level cannot,
+    such as several walkers in one relation on disjoint graphs, at the
+    price of a fixpoint over the database.
+
+Relation level
+--------------
 
 dynamic relation
     A relation the kernel actually rewrites: a non-identity query
@@ -27,7 +38,7 @@ component
     variables.  *Static* relations never couple components: a shared
     read-only input is the same constant in every world.
 
-Every claim the planner makes is checkable statically:
+Every claim the relation-level planner makes is checkable statically:
 
 * components share no repair-key provenance by construction (a
   repair-key choice made inside one component's queries is invisible to
@@ -51,12 +62,25 @@ the service admission stats.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
+from fractions import Fraction
 from itertools import combinations
-from typing import TYPE_CHECKING, Any, Iterable, Iterator, Mapping
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Callable,
+    Generic,
+    Hashable,
+    Iterable,
+    Iterator,
+    Mapping,
+    TypeVar,
+)
 
 from repro.analysis.diagnostics import DiagnosticReport
 from repro.analysis.graph import coupling_edges, expression_references
+from repro.errors import AlgebraError, EvaluationError
+from repro.probability.distribution import as_fraction
 from repro.relational.algebra import (
     Difference,
     Expression,
@@ -72,6 +96,7 @@ from repro.relational.algebra import (
     Union,
     evaluate,
 )
+from repro.relational.ordering import row_key
 
 if TYPE_CHECKING:
     from repro.core.events import QueryEvent, TupleIn
@@ -94,6 +119,16 @@ _SUBSET_BOUND_MAX_ROWS = 50
 _SUPPORT_MAX_ITERATIONS = 512
 _SUPPORT_MAX_ROWS = 100_000
 
+#: Safety cap on the rounds of tuple-level discovery's inflationary run.
+MAX_DISCOVERY_ROUNDS = 10_000
+
+#: Cap on the weight sums tuple-level discovery enumerates for rows a
+#: repair-key merges (there are up to ``2**k - 1`` for ``k`` rows).
+MAX_MERGED_WEIGHTS = 4096
+
+#: A tuple of some relation: ``(relation name, row)``.
+TupleId = tuple[str, tuple[Any, ...]]
+
 
 @dataclass(frozen=True)
 class ComponentFacts:
@@ -101,7 +136,9 @@ class ComponentFacts:
 
     All facts are derived statically; ``state_bound`` additionally needs
     the initial database (``None`` means the planner could not bound the
-    component — never that the component is small).
+    component — never that the component is small).  A tuple-level
+    component also lists the base tuples it owns in ``tuples``; its
+    kernel facts are the whole kernel's, since it runs every query.
     """
 
     index: int
@@ -115,6 +152,7 @@ class ComponentFacts:
     columnar_eligible: bool
     state_bound: int | None
     contains_event: bool | None = None
+    tuples: tuple[TupleId, ...] = ()
 
     def as_dict(self) -> dict[str, Any]:
         payload: dict[str, Any] = {
@@ -162,7 +200,12 @@ class PartitionSummary:
 
 @dataclass(frozen=True)
 class PartitionPlan:
-    """The planner's full output for one program."""
+    """The planner's full output for one program.
+
+    ``level`` is ``"relation"`` or ``"tuple"``; a tuple-level plan maps
+    every tuple some component can hold, base or derived, to that
+    component's name in ``owner``.
+    """
 
     semantics: str
     components: tuple[ComponentFacts, ...]
@@ -172,6 +215,10 @@ class PartitionPlan:
     pc_couplings: tuple[tuple[str, str], ...] = ()
     event_relation: str | None = None
     event_component: str | None = None
+    level: str = "relation"
+    owner: Mapping[TupleId, str] = field(
+        default_factory=dict, compare=False, repr=False
+    )
 
     @property
     def splittable(self) -> bool:
@@ -183,6 +230,18 @@ class PartitionPlan:
             if relation in component.members:
                 return component
         return None
+
+    def owners(self, relation: str, row: tuple[Any, ...] | None = None) -> set[str]:
+        """Names of the components whose runs can put ``row`` (any row,
+        when ``None``) into ``relation``; empty when none can, i.e. the
+        relation (or the tuple) never changes along a run."""
+        if self.level == "relation":
+            component = self.component_of(relation)
+            return set() if component is None else {component.name}
+        if row is not None:
+            owner = self.owner.get((relation, row))
+            return set() if owner is None else {owner}
+        return {name for (held, _row), name in self.owner.items() if held == relation}
 
     def summary(self) -> PartitionSummary:
         bounds = [c.state_bound for c in self.components]
@@ -642,6 +701,305 @@ def _product(factors: Iterable[int | None]) -> int | None:
     return result
 
 
+# -- tuple-level discovery ----------------------------------------------------
+
+
+def compute_tuple_plan(kernel: "Interpretation", database: "Database") -> PartitionPlan:
+    """Split the database into provenance-independent tuple classes.
+
+    The paper's Section 5.1 pre-processing for forever-queries: run the
+    kernel inflationarily from ``database``, reading repair-key as "keep
+    every row" (any of them could be chosen), and couple tuples in one
+    union-find over ``(relation, row)`` ids:
+
+    * a derived tuple couples with the tuples it is derived from;
+    * the rows of one repair-key group couple with each other (whether
+      one is chosen depends on its siblings), through a node of the
+      group's own when the rows come from literals alone;
+    * a repair-key merges rows equal but for the weight, summing the
+      weights of those a state holds, so every such sum is a candidate
+      row of the group;
+    * every left row of a difference may survive, since the subtracted
+      side can lack it in some state, and couples with the same row of
+      the subtracted side, which decides whether it does;
+    * pc-table entries whose conditions share a variable couple, and
+      every entry is a candidate tuple of its relation.
+
+    Every round evaluates all queries on the same state; the run stops
+    after a round in which no relation grew, which has already coupled
+    every derivation on the final state.  Read this way every operator
+    is monotone, so the final state holds every tuple any run can hold.
+    Couplings are made where the operator meets its inputs, so a pair a
+    later selection drops may still couple: the classes can only come
+    out coarser than necessary, never wrongly split.
+
+    Each class becomes one component that owns its base tuples (the
+    database's rows plus the pc-table candidates); ``owner`` maps every
+    tuple, derived ones included, to its component.  Raises
+    :class:`~repro.errors.EvaluationError` when the run does not reach
+    a fixpoint within :data:`MAX_DISCOVERY_ROUNDS` rounds, or when a
+    merge of equal-but-for-weight rows has more than
+    :data:`MAX_MERGED_WEIGHTS` candidate sums.
+    """
+    kernel.check_schema(database)
+    run = _Discovery(database)
+    if kernel.pc_tables is not None:
+        first_entry: dict[str, int] = {}
+        for name in sorted(kernel.pc_tables.tables):
+            for row, cond in kernel.pc_tables.tables[name].entries:
+                tid = run.intern(name, row)
+                for variable in sorted(cond.variables()):
+                    run.uf.union(first_entry.setdefault(variable, tid), tid)
+    base = len(run.tuples)
+
+    queries = sorted(kernel.queries.items())
+    for _ in range(MAX_DISCOVERY_ROUNDS):
+        derived = [(name, run.lineage(expression)[1]) for name, expression in queries]
+        known = len(run.tuples)
+        for name, rows in derived:
+            for row, anchor in rows.items():
+                tid = run.intern(name, row)
+                if anchor is not None:
+                    run.uf.union(tid, anchor)
+        if len(run.tuples) == known:
+            break
+    else:
+        raise EvaluationError(
+            f"tuple-level discovery did not reach a fixpoint within "
+            f"{MAX_DISCOVERY_ROUNDS} rounds"
+        )
+
+    pc_names = set(kernel.pc_relation_names())
+    dynamic = {
+        name
+        for name, expression in kernel.queries.items()
+        if not _is_identity(name, expression)
+    } | pc_names
+    whole = _component_facts(
+        0, "c0", tuple(sorted(dynamic)), kernel, pc_names, {},
+        event=None, semantics="forever",
+    )
+    components: list[ComponentFacts] = []
+    owner: dict[TupleId, str] = {}
+    # Choice nodes (negative ids) sort last and are no tuples: drop them,
+    # and the classes that hold nothing else.
+    classes = [[tid for tid in group if tid >= 0] for group in run.uf.groups()]
+    for index, members in enumerate(group for group in classes if group):
+        name = f"c{index}"
+        tuples = [run.tuples[tid] for tid in members]
+        owner.update(dict.fromkeys(tuples, name))
+        components.append(
+            replace(
+                whole,
+                index=index,
+                name=name,
+                members=tuple(sorted({relation for relation, _row in tuples})),
+                footprint=tuple(sorted(database.names())),
+                tuples=tuple(
+                    held for tid, held in zip(members, tuples) if tid < base
+                ),
+            )
+        )
+    return PartitionPlan(
+        semantics="forever",
+        components=tuple(components),
+        exact_budget=DEFAULT_EXACT_BUDGET,
+        bounded=False,
+        level="tuple",
+        owner=owner,
+    )
+
+
+_Row = tuple[Any, ...]
+
+#: Rows of an intermediate result, each mapped to its *anchor*: the id
+#: of a tuple whose class holds every tuple the row was derived from,
+#: or ``None`` for a row derived from literals alone.
+_Lineage = dict[_Row, "int | None"]
+
+
+class _Discovery:
+    """One run of tuple-level discovery.
+
+    Every tuple met gets a dense integer id, and the union-find holds
+    ids: hashing rows that carry ``Fraction`` weights is what a run
+    spends most of its time on, so each row is hashed as rarely as
+    possible.  ``rows`` is the inflationary state, as row -> id maps.
+    A repair-key group whose rows come from literals alone is anchored
+    by a *choice node*, which has a negative id (see :meth:`choice`).
+    """
+
+    def __init__(self, database: "Database") -> None:
+        self.tuples: list[TupleId] = []
+        self.choices: dict[tuple[RepairKey, _Row], int] = {}
+        self.uf: _UnionFind[int] = _UnionFind(key=self.order)
+        self.columns = database.schema()
+        self.rows: dict[str, dict[_Row, int]] = {}
+        for name in database.names():
+            self.rows[name] = {}
+            for row in database[name]:
+                self.intern(name, row)
+
+    def intern(self, name: str, row: _Row) -> int:
+        ids = self.rows[name]
+        tid = ids.get(row)
+        if tid is None:
+            tid = ids[row] = len(self.tuples)
+            self.tuples.append((name, row))
+            self.uf.add(tid)
+        return tid
+
+    def choice(self, site: RepairKey, group: _Row) -> int:
+        """The node of a repair-key group no tuple anchors: its rows come
+        from literals, yet which of them is chosen still couples them.
+        Keyed by the operator and the group, so every round meets the
+        same node."""
+        node = self.choices.get((site, group))
+        if node is None:
+            node = self.choices[site, group] = -1 - len(self.choices)
+            self.uf.add(node)
+        return node
+
+    def order(self, tid: int) -> tuple[Any, ...]:
+        """Canonical sort key: tuples by relation and row, then the
+        choice nodes."""
+        if tid < 0:
+            return (1, tid)
+        name, row = self.tuples[tid]
+        return (0, name, row_key(row))
+
+    def link(self, left: int | None, right: int | None) -> int | None:
+        """One anchor for a row that depends on both anchors' classes."""
+        if left is None:
+            return right
+        if right is not None:
+            self.uf.union(left, right)
+        return left
+
+    def lineage(self, expression: Expression) -> tuple[tuple[str, ...], _Lineage]:
+        """Evaluate ``expression`` on the state with repair-key keeping
+        every row, coupling tuples as :func:`compute_tuple_plan` says."""
+        link = self.link
+        if isinstance(expression, RelationRef):
+            # A copy (it keeps the stored hashes): callers may extend it.
+            rows: _Lineage = dict(self.rows[expression.name])
+            return self.columns[expression.name], rows
+        if isinstance(expression, Literal):
+            relation = expression.relation
+            return relation.columns, {row: None for row in relation}
+        if isinstance(expression, Select):
+            columns, rows = self.lineage(expression.child)
+            predicate = expression.predicate
+            return columns, {
+                row: anchor
+                for row, anchor in rows.items()
+                if predicate.evaluate(dict(zip(columns, row)))
+            }
+        if isinstance(expression, (Project, Rename, ExtendedProject)):
+            columns, rows = self.lineage(expression.child)
+            out_columns, image = _row_image(expression, columns)
+            out: _Lineage = {}
+            for row, anchor in rows.items():
+                target = image(row)
+                out[target] = link(out.get(target), anchor)
+            return out_columns, out
+        if isinstance(expression, Union):
+            columns, out = self.lineage(expression.left)
+            for row, anchor in self.lineage(expression.right)[1].items():
+                out[row] = link(out.get(row), anchor)
+            return columns, out
+        if isinstance(expression, Difference):
+            # Every left row may survive (the subtracted side can lack it
+            # in some state), and whether it does depends on the same
+            # row of the subtracted side.
+            columns, left = self.lineage(expression.left)
+            right = self.lineage(expression.right)[1]
+            return columns, {
+                row: link(anchor, right.get(row)) for row, anchor in left.items()
+            }
+        if isinstance(expression, (Product, NaturalJoin)):
+            left_columns, left = self.lineage(expression.left)
+            right_columns, right = self.lineage(expression.right)
+            shared = (
+                [c for c in left_columns if c in right_columns]
+                if isinstance(expression, NaturalJoin)
+                else []
+            )
+            kept = [i for i, c in enumerate(right_columns) if c not in left_columns]
+            left_key = [left_columns.index(c) for c in shared]
+            right_key = [right_columns.index(c) for c in shared]
+            buckets: dict[_Row, list[tuple[_Row, int | None]]] = {}
+            for row, anchor in right.items():
+                buckets.setdefault(tuple(row[i] for i in right_key), []).append(
+                    (tuple(row[i] for i in kept), anchor)
+                )
+            out = {}
+            for row, anchor in left.items():
+                for tail, other in buckets.get(tuple(row[i] for i in left_key), ()):
+                    out[row + tail] = link(anchor, other)
+            return left_columns + tuple(right_columns[i] for i in kept), out
+        if isinstance(expression, RepairKey):
+            columns, rows = self.lineage(expression.child)
+            key = [columns.index(c) for c in expression.key]
+            groups: dict[_Row, int | None] = {}
+            for row, anchor in rows.items():
+                group = tuple(row[i] for i in key)
+                groups[group] = link(groups.get(group), anchor)
+            for group, anchor in groups.items():
+                if anchor is None:
+                    groups[group] = self.choice(expression, group)
+            out = {row: groups[tuple(row[i] for i in key)] for row in rows}
+            if expression.weight is not None:
+                _add_merged_weights(out, columns.index(expression.weight))
+            return columns, out
+        raise AlgebraError(f"cannot track lineage through {expression!r}")
+
+
+def _row_image(
+    expression: Project | Rename | ExtendedProject, columns: tuple[str, ...]
+) -> tuple[tuple[str, ...], Callable[[tuple[Any, ...]], tuple[Any, ...]]]:
+    """Output columns and row map of a row-wise operator."""
+    if isinstance(expression, Rename):
+        renamed = tuple(expression.mapping.get(c, c) for c in columns)
+        return renamed, lambda row: row
+    if isinstance(expression, Project):
+        indices = [columns.index(c) for c in expression.columns]
+        return expression.columns, lambda row: tuple(row[i] for i in indices)
+    sources = [
+        (True, columns.index(value)) if kind == "col" else (False, value)
+        for _name, (kind, value) in expression.outputs
+    ]
+    return (
+        tuple(name for name, _source in expression.outputs),
+        lambda row: tuple(row[v] if is_col else v for is_col, v in sources),
+    )
+
+
+def _add_merged_weights(rows: _Lineage, weight: int) -> None:
+    """Add the rows a repair-key makes by merging rows equal but for
+    the weight (footnote 1 of the paper): the merged weight sums those a
+    state holds, so any nonempty subset's sum can occur.  Such rows
+    share their key, hence their group's anchor."""
+    merged: dict[_Row, list[_Row]] = {}
+    for row in rows:
+        merged.setdefault(row[:weight] + row[weight + 1 :], []).append(row)
+    for rest, equal in merged.items():
+        if len(equal) < 2:
+            continue
+        sums: set[Fraction] = set()
+        for row in equal:
+            value = as_fraction(row[weight])
+            sums |= {value} | {total + value for total in sums}
+            if len(sums) > MAX_MERGED_WEIGHTS:
+                raise EvaluationError(
+                    f"tuple-level discovery: more than {MAX_MERGED_WEIGHTS} "
+                    f"merged repair-key weights for row {rest!r}"
+                )
+        anchor = rows[equal[0]]
+        for total in sums:
+            rows.setdefault(rest[:weight] + (total,) + rest[weight:], anchor)
+
+
 # -- helpers ------------------------------------------------------------------
 
 
@@ -655,13 +1013,29 @@ def _walk_expression(expression: Expression) -> Iterator[Expression]:
         yield from _walk_expression(child)
 
 
-class _UnionFind:
-    """Plain union-find over relation names, deterministic grouping."""
+_Item = TypeVar("_Item", bound=Hashable)
 
-    def __init__(self, items: Iterable[str]) -> None:
-        self._parent: dict[str, str] = {item: item for item in items}
 
-    def find(self, item: str) -> str:
+class _UnionFind(Generic[_Item]):
+    """Union-find with deterministic grouping: members come out sorted by
+    ``key``, and groups by their first member, whatever the insertion
+    or union order.  Relation names sort as themselves; tuple-level
+    discovery sorts its tuple ids canonically (:meth:`_Discovery.order`),
+    so component order, names and per-component seeds never depend on
+    ``PYTHONHASHSEED``."""
+
+    def __init__(
+        self,
+        items: Iterable[_Item] = (),
+        key: Callable[[_Item], Any] = lambda item: item,
+    ) -> None:
+        self._parent: dict[_Item, _Item] = {item: item for item in items}
+        self._key = key
+
+    def add(self, item: _Item) -> None:
+        self._parent.setdefault(item, item)
+
+    def find(self, item: _Item) -> _Item:
         parent = self._parent
         root = item
         while parent[root] != root:
@@ -670,19 +1044,17 @@ class _UnionFind:
             parent[item], item = root, parent[item]
         return root
 
-    def union(self, left: str, right: str) -> None:
+    def union(self, left: _Item, right: _Item) -> None:
         root_left, root_right = self.find(left), self.find(right)
         if root_left != root_right:
-            # Deterministic representative: the lexicographically smaller
-            # root wins, so grouping never depends on insertion order.
-            if root_right < root_left:
-                root_left, root_right = root_right, root_left
             self._parent[root_right] = root_left
 
-    def groups(self) -> list[tuple[str, ...]]:
+    def groups(self) -> list[tuple[_Item, ...]]:
         """Members per component, each sorted, components sorted by
         their first member."""
-        by_root: dict[str, list[str]] = {}
+        by_root: dict[_Item, list[_Item]] = {}
         for item in self._parent:
             by_root.setdefault(self.find(item), []).append(item)
-        return sorted(tuple(sorted(members)) for members in by_root.values())
+        key = self._key
+        groups = [tuple(sorted(members, key=key)) for members in by_root.values()]
+        return sorted(groups, key=lambda group: key(group[0]))

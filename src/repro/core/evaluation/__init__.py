@@ -6,24 +6,12 @@ from repro.core.evaluation.exact_inflationary import (
 )
 from repro.core.evaluation.exact_noninflationary import evaluate_forever_exact
 from repro.core.evaluation.lumped import evaluate_forever_lumped
-from repro.core.evaluation.numeric_noninflationary import (
-    NumericResult,
-    evaluate_forever_numeric,
-)
 from repro.core.evaluation.passage import (
     event_expected_hitting_time,
     event_hitting_probability,
     event_hitting_time_distribution,
     forever_state_distribution,
     inflationary_fixpoint_distribution,
-)
-from repro.core.evaluation.partitioning import (
-    compute_partition,
-    evaluate_forever_partitioned,
-)
-from repro.core.evaluation.provenance import (
-    evaluate_with_provenance,
-    initial_provenance,
 )
 from repro.core.evaluation.results import ExactResult, SamplingResult
 from repro.core.evaluation.series import (
@@ -43,20 +31,15 @@ from repro.core.evaluation.sampling_noninflationary import (
 
 __all__ = [
     "ExactResult",
-    "NumericResult",
     "SamplingResult",
     "absorption_event_probability",
     "adaptive_burn_in",
-    "compute_partition",
     "computed_burn_in",
     "evaluate_forever_exact",
     "evaluate_forever_lumped",
     "evaluate_forever_mcmc",
-    "evaluate_forever_numeric",
-    "evaluate_forever_partitioned",
     "evaluate_inflationary_exact",
     "evaluate_inflationary_sampling",
-    "evaluate_with_provenance",
     "event_expected_hitting_time",
     "event_hitting_probability",
     "event_hitting_time_distribution",
@@ -64,7 +47,6 @@ __all__ = [
     "event_probability_series",
     "forever_state_distribution",
     "inflationary_fixpoint_distribution",
-    "initial_provenance",
     "query_pc_database",
     "sample_fixpoint",
 ]

@@ -41,11 +41,6 @@ from repro.markov.passage import (
     hitting_probability,
     hitting_time_distribution,
 )
-from repro.markov.numeric import (
-    absorption_probabilities_float,
-    long_run_event_probability_float,
-    long_run_state_distribution_float,
-)
 from repro.markov.mixing import (
     eigenvalue_gap,
     mixing_time,
@@ -72,7 +67,6 @@ from repro.markov.stationary import (
 __all__ = [
     "MarkovChain",
     "absorption_probabilities",
-    "absorption_probabilities_float",
     "cesaro_average",
     "chain_from_edges",
     "cheeger_bounds",
@@ -96,9 +90,7 @@ __all__ = [
     "is_stationary",
     "leaf_components",
     "long_run_event_probability",
-    "long_run_event_probability_float",
     "long_run_state_distribution",
-    "long_run_state_distribution_float",
     "lumped_event_probability",
     "mixing_time",
     "mixing_time_lower_bound",

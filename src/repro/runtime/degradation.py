@@ -14,12 +14,12 @@ not a guarantee.  Instead of aborting when the bet is lost
    proving ``|answer - exact| <= sparse_epsilon``, and a solve that
    cannot be certified *refuses*
    (:class:`~repro.errors.SolveRefusedError`) and falls through like a
-   state-space overflow.  Granted ``sparse_state_factor`` times the
+   state-space overflow.  Granted :data:`SPARSE_STATE_FACTOR` times the
    exact rung's state allowance;
 3. **lumped** (:func:`~repro.core.evaluation.evaluate_forever_lumped`)
    — still exact, but granted a larger state allowance because its
    expensive linear-algebra phase runs on the quotient chain
-   (``lumped_state_factor``);
+   (:data:`LUMPED_STATE_FACTOR`);
 4. **MCMC** (:func:`~repro.core.evaluation.evaluate_forever_mcmc` with
    :func:`~repro.core.evaluation.adaptive_burn_in`) — never
    materialises the chain at all; an (ε, δ) estimate is returned where
@@ -45,7 +45,6 @@ from repro.core.evaluation.exact_noninflationary import evaluate_forever_exact
 from repro.core.evaluation.lumped import evaluate_forever_lumped
 from repro.core.evaluation.results import ExactResult, SamplingResult
 from repro.core.evaluation.sampling_noninflationary import (
-    DEFAULT_ADAPTIVE_MAX_STEPS,
     adaptive_burn_in,
     evaluate_forever_mcmc,
 )
@@ -65,6 +64,23 @@ if TYPE_CHECKING:  # pragma: no cover - type-only import
     from repro.perf.parallel import ParallelConfig
     from repro.runtime.checkpoint import Checkpoint
     from repro.sparse import CertifiedResult
+
+#: Multiplier on ``max_states`` granted to the sparse retry; CSR rows
+#: cost O(out-degree) floats instead of a dict of Fractions, so a much
+#: larger exploration is affordable.
+SPARSE_STATE_FACTOR = 25
+#: Iteration budget per component solve on the sparse rung.
+SPARSE_MAX_ITERATIONS = 50_000
+#: Multiplier on ``max_states`` granted to the lumped retry; the full
+#: chain is still built there, but its linear algebra runs on the
+#: quotient, so a larger exploration is affordable.
+LUMPED_STATE_FACTOR = 4
+#: Tolerance of the MCMC rung's adaptive burn-in, looser than
+#: :func:`adaptive_burn_in`'s own default because its ensemble of 64
+#: walkers quantises the event frequency in steps of 1/64: a tolerance
+#: below the sampling noise would spin to the step cap and abort the
+#: last rung of the ladder.
+ADAPTIVE_TOLERANCE = 0.1
 
 #: The degradation ladder per mode.
 _LADDERS = {
@@ -90,16 +106,6 @@ class DegradationPolicy:
         Certified accuracy contract for the sparse rung.  An answer
         the solver cannot *prove* is within ``sparse_epsilon`` of the
         exact rational is refused and the ladder continues.
-    sparse_state_factor:
-        Multiplier on ``max_states`` granted to the sparse retry; CSR
-        rows cost O(out-degree) floats instead of a dict of Fractions,
-        so a much larger exploration is affordable.
-    sparse_max_iterations:
-        Iteration budget per component solve on the sparse rung.
-    lumped_state_factor:
-        Multiplier on ``max_states`` granted to the lumped retry; the
-        full chain is still built there, but its linear algebra runs on
-        the quotient, so a larger exploration is affordable.
     mcmc_epsilon / mcmc_delta / mcmc_samples:
         Accuracy plan for the MCMC rung (``mcmc_samples`` overrides the
         (ε, δ) plan when set).
@@ -108,14 +114,6 @@ class DegradationPolicy:
         :func:`~repro.core.evaluation.adaptive_burn_in` (the explicit
         chain is unavailable by construction when this rung is
         reached).
-    adaptive_walkers / adaptive_window / adaptive_tolerance /
-    adaptive_max_steps:
-        Knobs for the adaptive burn-in heuristic.  The tolerance
-        default is looser than :func:`adaptive_burn_in`'s own because
-        an ensemble of ``adaptive_walkers`` walkers quantises the
-        event frequency in steps of ``1 / adaptive_walkers``: a
-        tolerance below the sampling noise would spin to
-        ``adaptive_max_steps`` and abort the last rung of the ladder.
     mcmc_workers:
         Worker processes for the MCMC rung's trials (``1`` keeps the
         historical sequential sampler bit-identically; ``N > 1`` is
@@ -129,17 +127,10 @@ class DegradationPolicy:
 
     mode: str = "auto"
     sparse_epsilon: float = 1e-6
-    sparse_state_factor: int = 25
-    sparse_max_iterations: int = 50_000
-    lumped_state_factor: int = 4
     mcmc_epsilon: float = 0.1
     mcmc_delta: float = 0.05
     mcmc_samples: int | None = None
     mcmc_burn_in: int | None = None
-    adaptive_walkers: int = 64
-    adaptive_window: int = 20
-    adaptive_tolerance: float = 0.1
-    adaptive_max_steps: int = DEFAULT_ADAPTIVE_MAX_STEPS
     mcmc_workers: int = 1
     mcmc_cache_size: int | None = None
 
@@ -151,16 +142,6 @@ class DegradationPolicy:
             )
         if self.sparse_epsilon <= 0:
             raise EvaluationError("sparse_epsilon must be > 0")
-        if self.sparse_state_factor < 1:
-            raise EvaluationError("sparse_state_factor must be >= 1")
-        if self.sparse_max_iterations < 1:
-            raise EvaluationError("sparse_max_iterations must be >= 1")
-        if self.lumped_state_factor < 1:
-            raise EvaluationError("lumped_state_factor must be >= 1")
-        if self.adaptive_walkers < 1:
-            raise EvaluationError("adaptive_walkers must be >= 1")
-        if self.adaptive_tolerance < 0:
-            raise EvaluationError("adaptive_tolerance must be >= 0")
         if self.mcmc_workers < 1:
             raise EvaluationError("mcmc_workers must be >= 1")
         if self.mcmc_cache_size is not None and self.mcmc_cache_size < 1:
@@ -293,8 +274,8 @@ def evaluate_forever_resilient(
                     query,
                     initial,
                     epsilon=policy.sparse_epsilon,
-                    max_states=max_states * policy.sparse_state_factor,
-                    max_iterations=policy.sparse_max_iterations,
+                    max_states=max_states * SPARSE_STATE_FACTOR,
+                    max_iterations=SPARSE_MAX_ITERATIONS,
                     context=context,
                     backend=backend,
                 )
@@ -302,7 +283,7 @@ def evaluate_forever_resilient(
                 result = evaluate_forever_lumped(
                     query,
                     initial,
-                    max_states=max_states * policy.lumped_state_factor,
+                    max_states=max_states * LUMPED_STATE_FACTOR,
                     context=context,
                     cache=cache,
                     backend=backend,
@@ -314,10 +295,7 @@ def evaluate_forever_resilient(
                         query,
                         initial,
                         rng=generator,
-                        walkers=policy.adaptive_walkers,
-                        window=policy.adaptive_window,
-                        tolerance=policy.adaptive_tolerance,
-                        max_steps=policy.adaptive_max_steps,
+                        tolerance=ADAPTIVE_TOLERANCE,
                         context=context,
                         cache_size=policy.mcmc_cache_size,
                         cache=cache,

@@ -1,11 +1,13 @@
-"""Partitioned evaluation: executing a static :class:`PartitionPlan`.
+"""Partitioned evaluation: executing a :class:`PartitionPlan` (Section 5.1).
 
 The planner (:mod:`repro.analysis.partition`) proves, before evaluation
 starts, that a program splits into components sharing no repair-key
-provenance and no pc-table variables.  This module cashes that proof in:
-each component runs *independently* — on its own cheapest rung via the
-existing :class:`~repro.runtime.degradation.DegradationPolicy` ladder —
-and the event probability is recombined by independence:
+provenance and no pc-table variables: sets of relations (relation-level
+plans) or classes of tuples (tuple-level plans).  This module is the
+one executor for both.  Each component runs *independently* — on its
+own cheapest rung via the existing
+:class:`~repro.runtime.degradation.DegradationPolicy` ladder — and the
+event probability is recombined by independence:
 
     P(e₁ ∧ ... ∧ eₖ) = Π P(eᵢ)        P(e₁ ∨ ... ∨ eₖ) = 1 − Π (1 − P(eᵢ))
 
@@ -16,6 +18,14 @@ used, and that is exactly what the plan certifies).  Components no event
 factor touches cannot influence the answer and are pruned outright
 (``PP005``).
 
+A factor belongs to the component that can change it: the one holding
+its relation (relation level), or the one class that can derive its
+tuple (tuple level; a tuple two classes could derive has already merged
+them).  A factor no component can change is decided on the initial
+database, and a factor two components can change is refused.  A
+relation-level component runs its own queries on its footprint; a
+tuple-level component runs the whole kernel on its own tuples.
+
 Soundness
 ---------
 
@@ -25,11 +35,10 @@ Soundness
   planner.
 * For forever semantics the recombination additionally needs each
   component's own Cesàro limit to exist (always true for aperiodic
-  chains, e.g. lazy kernels) — the same assumption the dynamic
-  Section 5.1 partitioner in
-  :mod:`repro.core.evaluation.partitioning` makes.  The parity suite
-  (``tests/runtime/test_partition_exec.py``) and ``bench_partition``
-  gate this bit-identically against whole-program evaluation.
+  chains, e.g. lazy kernels), as the paper's Section 5.1 assumes.  The
+  parity suite (``tests/runtime/test_partition_exec.py``), ablation A1
+  and ``bench_partition`` gate this bit-identically against
+  whole-program evaluation.
 * When a component answers with an estimate, the combined error is
   bounded by the sum of the per-component errors (for values in
   ``[0, 1]``, ``|Πp − Πp̂| ≤ Σ|pᵢ − p̂ᵢ|``) and the failure probability
@@ -45,10 +54,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Any, Mapping
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping
 
 from repro.analysis.hints import PlanHints
-from repro.analysis.partition import PartitionPlan, compute_partition_plan
+from repro.analysis.partition import (
+    ComponentFacts,
+    PartitionPlan,
+    compute_partition_plan,
+    compute_tuple_plan,
+)
 from repro.core.chain_builder import DEFAULT_MAX_STATES
 from repro.core.evaluation.results import ExactResult, SamplingResult
 from repro.core.events import (
@@ -65,6 +79,7 @@ from repro.core.queries import ForeverQuery, InflationaryQuery
 from repro.errors import EvaluationError
 from repro.obs.trace import phase_scope
 from repro.relational.database import Database
+from repro.relational.relation import Relation
 from repro.runtime.context import RunContext, ensure_context
 from repro.runtime.degradation import DegradationPolicy
 
@@ -141,7 +156,8 @@ def evaluate_partitioned(
 ) -> ExactResult | SamplingResult:
     """Evaluate a forever/inflationary query through a partition plan.
 
-    ``plan`` defaults to running the planner here;
+    ``plan`` defaults to the relation-level plan when that splits, and
+    otherwise, for forever-queries, to the tuple-level plan;
     :class:`~repro.errors.EvaluationError` is raised when the plan is
     not splittable or the event does not decompose along it (callers
     that want a silent fallback check :func:`can_partition` first).
@@ -166,6 +182,8 @@ def evaluate_partitioned(
                 event=query.event if isinstance(query.event, TupleIn) else None,
                 semantics=semantics,
             )
+            if not plan.splittable and semantics == "forever":
+                plan = compute_tuple_plan(kernel, initial)
         if not plan.splittable:
             raise EvaluationError(
                 "partitioned evaluation needs a splittable plan; "
@@ -243,13 +261,27 @@ def _event_relations(event: QueryEvent) -> set[str]:
     )
 
 
+def _owners(plan: PartitionPlan, event: QueryEvent) -> set[str]:
+    """The components whose runs can change ``event``'s truth value."""
+    if isinstance(event, TupleIn):
+        return plan.owners(event.relation, event.row)
+    if isinstance(event, NotEvent):
+        return _owners(plan, event.inner)
+    if isinstance(event, (AndEvent, OrEvent)):
+        return _owners(plan, event.left) | _owners(plan, event.right)
+    owners: set[str] = set()
+    for relation in _event_relations(event):
+        owners |= plan.owners(relation)
+    return owners
+
+
 def _split_event(plan: PartitionPlan, event: QueryEvent) -> _EventSplit:
     """Decompose the event into per-component factor groups.
 
     Top-level disjunctions split by ``or``, everything else (including a
-    single atomic event) by ``and``.  A factor whose dynamic relations
-    span two components cannot be decomposed — the plan's independence
-    claim says nothing about a *joint* test across components.
+    single atomic event) by ``and``.  A factor that two components can
+    change cannot be decomposed — the plan's independence claim says
+    nothing about a *joint* test across components.
     """
     if isinstance(event, OrEvent):
         mode, factors = "or", _flatten(event, OrEvent)
@@ -258,22 +290,13 @@ def _split_event(plan: PartitionPlan, event: QueryEvent) -> _EventSplit:
     else:
         mode, factors = "and", [event]
 
-    member_of: dict[str, str] = {}
-    for component in plan.components:
-        for member in component.members:
-            member_of[member] = component.name
-
     groups: dict[str, QueryEvent] = {}
     constants: list[QueryEvent] = []
     for factor in factors:
-        touched = {
-            member_of[relation]
-            for relation in _event_relations(factor)
-            if relation in member_of
-        }
+        touched = _owners(plan, factor)
         if not touched:
-            # Every relation the factor reads is static: its truth value
-            # is the same in every reachable state.
+            # No component can change what the factor reads: its truth
+            # value is the same in every reachable state.
             constants.append(factor)
         elif len(touched) == 1:
             name = touched.pop()
@@ -300,37 +323,72 @@ def _split_event(plan: PartitionPlan, event: QueryEvent) -> _EventSplit:
 # -- per-component solving ----------------------------------------------------
 
 
-def _restrict_pc_tables(
-    pc_tables: "PCDatabase | None", members: tuple[str, ...]
+def _restrict_pc(
+    pc_tables: "PCDatabase | None",
+    names: Iterable[str],
+    keep: Callable[[str, tuple[Any, ...]], bool] = lambda _name, _row: True,
 ) -> "PCDatabase | None":
+    """The pc-tables called ``names``, each with the entries ``keep``
+    accepts and only the variables those mention; ``None`` when no
+    table is left.  A table keeps its place even with no entry left,
+    so its relation is still rewritten every step."""
     if pc_tables is None:
         return None
-    kept = {name: pc_tables.tables[name] for name in members if name in pc_tables.tables}
-    if not kept:
-        return None
-    from repro.ctables.pctable import PCDatabase
+    from repro.ctables.pctable import CTable, PCDatabase
 
+    tables = {
+        name: CTable(
+            pc_tables.tables[name].columns,
+            [(row, c) for row, c in pc_tables.tables[name].entries if keep(name, row)],
+        )
+        for name in names
+        if name in pc_tables.tables
+    }
+    if not tables:
+        return None
     used: set[str] = set()
-    for table in kept.values():
+    for table in tables.values():
         used |= table.variables()
-    variables = {v: pc_tables.variables[v] for v in sorted(used)}
-    return PCDatabase(kept, variables)
+    return PCDatabase(tables, {v: pc_tables.variables[v] for v in sorted(used)})
 
 
 def _component_problem(
     kernel: Interpretation,
     initial: Database,
-    members: tuple[str, ...],
-    footprint: tuple[str, ...],
+    plan: PartitionPlan,
+    component: ComponentFacts,
     group_event: QueryEvent,
 ) -> tuple[Interpretation, Database]:
-    """The component's own kernel and its footprint-restricted database."""
+    """The component's own kernel and database.
+
+    Relation level: the member queries on the footprint-restricted
+    database.  Tuple level: every query, on the component's own tuples
+    (static relations included) and pc-table entries.
+    """
+    if plan.level == "tuple":
+        keep = set(component.tuples)
+        sub_db = Database(
+            {
+                name: Relation(
+                    initial[name].columns,
+                    [row for row in initial[name] if (name, row) in keep],
+                )
+                for name in initial.names()
+            }
+        )
+        pc_tables = _restrict_pc(
+            kernel.pc_tables,
+            kernel.pc_relation_names(),
+            lambda name, row: (name, row) in keep,
+        )
+        return Interpretation(kernel.queries, pc_tables=pc_tables), sub_db
+    members = component.members
     queries = {m: kernel.queries[m] for m in members if m in kernel.queries}
     sub_kernel = Interpretation(
-        queries, pc_tables=_restrict_pc_tables(kernel.pc_tables, members)
+        queries, pc_tables=_restrict_pc(kernel.pc_tables, members)
     )
-    keep = set(footprint) | _event_relations(group_event)
-    sub_db = initial.restrict(sorted(keep & set(initial.names())))
+    relations = set(component.footprint) | _event_relations(group_event)
+    sub_db = initial.restrict(sorted(relations & set(initial.names())))
     return sub_kernel, sub_db
 
 
@@ -494,7 +552,7 @@ def _solve_components(
         if group_event is None:
             continue
         sub_kernel, sub_db = _component_problem(
-            kernel, initial, component.members, component.footprint, group_event
+            kernel, initial, plan, component, group_event
         )
         tasks.append(
             {

@@ -26,6 +26,7 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any, Callable, Mapping
 
 from repro.errors import InvalidRequestError
@@ -255,7 +256,17 @@ class QueryRequest:
     # -- derived keys ---------------------------------------------------
 
     def session_key(self) -> str:
-        """Identity of the prepared engine this request runs on."""
+        """Identity of the prepared engine this request runs on.
+
+        Serialising the program and database is the expensive part, and
+        a service request needs the key several times (pool lookup,
+        :meth:`cache_key`, the session's ownership check), so it is
+        computed once per (frozen) request.
+        """
+        return self._session_key
+
+    @cached_property
+    def _session_key(self) -> str:
         return _sha256(_canonical({
             "semantics": self.semantics,
             "program": self.program,

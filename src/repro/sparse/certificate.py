@@ -97,10 +97,9 @@ class CertifiedResult:
 
     The sparse rung's counterpart of
     :class:`~repro.core.evaluation.results.ExactResult`: the
-    probability is a float, but unlike
-    :class:`~repro.core.evaluation.NumericResult` it never travels
-    without a :class:`SolveCertificate` proving how far from the exact
-    rational answer it can be.
+    probability is a float, and it never travels without a
+    :class:`SolveCertificate` proving how far from the exact rational
+    answer it can be.
     """
 
     probability: float

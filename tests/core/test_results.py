@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from repro.core.evaluation import ExactResult, NumericResult, SamplingResult
+from repro.core.evaluation import ExactResult, SamplingResult
 from repro.errors import (
     AlgebraError,
     ConditionError,
@@ -50,13 +50,6 @@ class TestSamplingResult:
     def test_positive_count_validated(self):
         with pytest.raises(ValueError):
             SamplingResult(0.5, 10, 11, None, None, "x")
-
-
-class TestNumericResult:
-    def test_validation(self):
-        NumericResult(0.25, 4, "prop-5.4-float")
-        with pytest.raises(ValueError):
-            NumericResult(-0.1, 1, "x")
 
 
 class TestErrorHierarchy:

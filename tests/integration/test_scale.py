@@ -14,7 +14,6 @@ from repro.core import (
     Interpretation,
     TupleIn,
     build_state_chain,
-    evaluate_forever_numeric,
     evaluate_inflationary_sampling,
 )
 from repro.datalog import evaluate_datalog_sampling, parse_program
@@ -24,6 +23,7 @@ from repro.markov import (
     stationary_distribution_float,
 )
 from repro.relational import Database, Relation, join, project, rel, rename, repair_key
+from repro.sparse import evaluate_forever_sparse
 from repro.workloads import (
     cycle_graph,
     erdos_renyi,
@@ -77,10 +77,13 @@ class TestChainScale:
             project(repair_key(join(rel("C"), rel("E")), ("I",), "P"), "J"), J="I"
         )
         query = ForeverQuery(Interpretation({"C": step}), TupleIn("C", ("g2_2",)))
-        result = evaluate_forever_numeric(query, db)
+        result = evaluate_forever_sparse(query, db)
         assert result.states_explored == 25
         # the centre cell has degree 4 + lazy loop = 5 of 105 total weight
         assert result.probability == pytest.approx(5 / 105, abs=1e-9)
+        assert abs(Fraction(result.probability) - Fraction(5, 105)) <= Fraction(
+            result.certificate.bound
+        )
 
     def test_mixing_time_on_larger_cycle(self):
         chain = cycle_graph(40).to_markov_chain()

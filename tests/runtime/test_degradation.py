@@ -12,6 +12,7 @@ from repro.errors import (
     StateSpaceLimitExceeded,
 )
 from repro.runtime import Budget, DegradationPolicy, RunContext, evaluate_forever_resilient
+from repro.runtime import degradation
 from repro.workloads import cycle_graph, random_walk_query
 
 
@@ -41,17 +42,9 @@ class TestPolicy:
         with pytest.raises(EvaluationError):
             DegradationPolicy(mode="punt")
 
-    def test_rejects_bad_factor(self):
-        with pytest.raises(EvaluationError):
-            DegradationPolicy(lumped_state_factor=0)
-
     def test_rejects_bad_sparse_knobs(self):
         with pytest.raises(EvaluationError):
             DegradationPolicy(sparse_epsilon=0.0)
-        with pytest.raises(EvaluationError):
-            DegradationPolicy(sparse_state_factor=0)
-        with pytest.raises(EvaluationError):
-            DegradationPolicy(sparse_max_iterations=0)
 
 
 class TestDegradationLadder:
@@ -115,9 +108,10 @@ class TestDegradationLadder:
             ("exact", "sparse")
         ]
 
-    def test_full_ladder_reaches_mcmc(self, larger_walk):
-        """sparse_state_factor=1 makes the sparse rung overflow too, so
-        the run walks every rung of the auto ladder."""
+    def test_full_ladder_reaches_mcmc(self, larger_walk, monkeypatch):
+        """A sparse state factor of 1 makes the sparse rung overflow
+        too, so the run walks every rung of the auto ladder."""
+        monkeypatch.setattr(degradation, "SPARSE_STATE_FACTOR", 1)
         query, db = larger_walk
         context = RunContext()
         result = evaluate_forever_resilient(
@@ -125,8 +119,7 @@ class TestDegradationLadder:
             db,
             max_states=1,
             policy=DegradationPolicy(
-                mode="auto", sparse_state_factor=1,
-                mcmc_samples=100, mcmc_burn_in=30,
+                mode="auto", mcmc_samples=100, mcmc_burn_in=30,
             ),
             context=context,
             rng=7,
@@ -143,16 +136,15 @@ class TestDegradationLadder:
         assert report.outcome == "ok"
         assert report.method == "thm-5.6"
 
-    def test_mcmc_rung_uses_adaptive_burn_in(self, larger_walk):
+    def test_mcmc_rung_uses_adaptive_burn_in(self, larger_walk, monkeypatch):
+        monkeypatch.setattr(degradation, "ADAPTIVE_TOLERANCE", 0.12)
         query, db = larger_walk
         context = RunContext()
         result = evaluate_forever_resilient(
             query,
             db,
             max_states=1,
-            policy=DegradationPolicy(
-                mode="mcmc", mcmc_samples=50, adaptive_tolerance=0.12
-            ),
+            policy=DegradationPolicy(mode="mcmc", mcmc_samples=50),
             context=context,
             rng=3,
         )
@@ -160,14 +152,15 @@ class TestDegradationLadder:
         assert result.details["burn_in"] >= 1
         assert any("adaptive burn-in" in event for event in context.report().events)
 
-    def test_last_rung_overflow_propagates(self, small_walk):
+    def test_last_rung_overflow_propagates(self, small_walk, monkeypatch):
+        monkeypatch.setattr(degradation, "LUMPED_STATE_FACTOR", 2)
         query, db = small_walk
         with pytest.raises(StateSpaceLimitExceeded):
             evaluate_forever_resilient(
                 query,
                 db,
                 max_states=1,
-                policy=DegradationPolicy(mode="lumped", lumped_state_factor=2),
+                policy=DegradationPolicy(mode="lumped"),
             )
 
     def test_budget_exhaustion_is_not_degraded(self, small_walk):
@@ -183,14 +176,14 @@ class TestDegradationLadder:
             )
 
     def test_resilient_checkpoint_resume_matches_uninterrupted(
-        self, larger_walk, tmp_path
+        self, larger_walk, tmp_path, monkeypatch
     ):
         """The acceptance-criterion path: auto fallback to MCMC with a
         mid-run kill, resumed to the same final estimate."""
+        monkeypatch.setattr(degradation, "SPARSE_STATE_FACTOR", 1)
         query, db = larger_walk
         policy = DegradationPolicy(
-            mode="auto", sparse_state_factor=1,
-            mcmc_samples=40, mcmc_burn_in=11,
+            mode="auto", mcmc_samples=40, mcmc_burn_in=11,
         )
 
         full = evaluate_forever_resilient(

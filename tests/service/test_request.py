@@ -88,6 +88,29 @@ class TestKeys:
         )
         assert a.cache_key() == b.cache_key()
 
+    def test_session_payload_is_serialised_once_per_request(self, monkeypatch):
+        """Pool lookup, cache key and the session's ownership check all
+        need the session key; the program and database are serialised
+        for it once."""
+        import repro.service.request as request_module
+        from repro.service.session import SessionPool
+
+        serialised = []
+        canonical = request_module._canonical
+
+        def counting(payload):
+            if "program" in payload:
+                serialised.append(payload["program"])
+            return canonical(payload)
+
+        monkeypatch.setattr(request_module, "_canonical", counting)
+        request = QueryRequest.from_json(walk_body())
+        session = SessionPool().get_or_create(request)
+        request.cache_key()
+        payload = session.evaluate(request)
+        assert payload["probability"] == "1/3"
+        assert len(serialised) == 1
+
 
 class TestCacheability:
     def test_exact_request_is_cacheable(self, walk_request):

@@ -14,7 +14,6 @@ import repro.baselines.seminaive
 import repro.core.chain_builder
 import repro.core.evaluation.exact_inflationary
 import repro.core.evaluation.exact_noninflationary
-import repro.core.evaluation.numeric_noninflationary
 import repro.core.events
 import repro.core.interpretation
 import repro.core.queries
@@ -45,7 +44,6 @@ MODULES = [
     repro.core.chain_builder,
     repro.core.evaluation.exact_inflationary,
     repro.core.evaluation.exact_noninflationary,
-    repro.core.evaluation.numeric_noninflationary,
     repro.core.events,
     repro.core.interpretation,
     repro.core.queries,
