@@ -10,8 +10,10 @@ per-operator timings), cross-process sampler determinism under varying
 QPS per backend, gated against the latest committed baseline), the
 supervised warm worker pool vs a one-shot (spawn-per-call) pool, the
 exact linear solver (Bareiss vs the Gauss–Jordan reference), and the
-sparse certified solver (kernel-streamed CSR assembly + a 10^4-state
-birth-death chain solved to a residual-certified 1e-9) — and writes
+sparse certified solver (kernel-streamed CSR assembly, a 10^4-state
+birth-death chain solved to a residual-certified 1e-9, a
+kernel-streamed 1000-state lazy cycle, and a 3-walker torus solved by
+CG) — and writes
 ``BENCH_<date>.json`` with the median wall-clock of each plus SHA-256
 checksums of every result that must not drift.
 
@@ -33,7 +35,8 @@ Correctness gates (always enforced; any failure exits nonzero):
 * every sparse certified answer satisfies its own ``SolveCertificate``
   *and* sits within that bound of the exact Fraction reference
   (the closed-form gambler's-ruin value on the large chain, itself
-  validated against the dense solver at a dense-feasible size), and an
+  validated against the dense solver at a dense-feasible size; ``1/n``
+  on the lazy cycle, ``1/k`` on the torus), and an
   unreachable tolerance is *refused*, not silently mis-answered;
 * loadgen QPS stays within 20% of the latest committed ``BENCH_*.json``
   baseline per backend (enforced only on a host with the same usable
@@ -536,9 +539,12 @@ def _ruin_probability(n: int, k: int, down: Fraction) -> Fraction:
 
 def bench_sparse(h: Harness) -> None:
     print("sparse certified solver — CSR assembly + (eps, delta) certificates")
+    from repro.core.evaluation.backend import resolve_backend
     from repro.errors import SolveRefusedError
     from repro.markov.absorption import long_run_event_probability
     from repro.sparse import (
+        SparseChain,
+        assemble_sparse_chain,
         evaluate_forever_sparse,
         solve_long_run,
         sparse_chain_from_markov,
@@ -618,6 +624,60 @@ def bench_sparse(h: Harness) -> None:
              note=f"dense O(n^3) extrapolated {n_dense}->{n_large} "
                   f"({dense_projected:.0f}s projected) vs certified sparse "
                   f"solve ({large_s:.2f}s median)")
+
+    # (5) A kernel-streamed lazy cycle past 512 states: the shape that
+    # made restarted GMRES spend its whole 512-step budget before
+    # falling back to LU.  The row times the solve alone; the one
+    # streaming pass that built the chain is ``assemble_s``.
+    n_cycle = 600 if h.quick else 1_000
+    cycle_query, cycle_db, _ = resolve_backend(
+        *random_walk_query(cycle_graph(n_cycle), "n0", f"n{n_cycle // 2}"),
+        "columnar")
+    assemble_s, cycle_chain = timed(lambda: assemble_sparse_chain(
+        cycle_query.kernel, cycle_db, event=cycle_query.event.holds), 1)
+    cycle_s, (cycle_value, cycle_cert, _) = timed(
+        lambda: solve_long_run(cycle_chain, epsilon=epsilon), h.rounds)
+    cycle_err = abs(cycle_value - 1 / n_cycle)
+    h.record("sparse_kernel_lazy_cycle", cycle_s,
+             checksum({"interval": [repr(cycle_value - cycle_cert.bound),
+                                    repr(cycle_value + cycle_cert.bound)]}),
+             states=cycle_chain.size, assemble_s=round(assemble_s, 6),
+             certificate=cycle_cert.as_dict())
+    h.check("sparse_kernel_lazy_cycle_within_certificate",
+            cycle_cert.satisfies() and cycle_err <= cycle_cert.bound <= epsilon,
+            f"n={n_cycle}: |answer - 1/n| = {cycle_err:.3e} <= bound = "
+            f"{cycle_cert.bound:.3e} <= eps = {epsilon:.0e}")
+
+    # (6) Three lazy walkers on a k-cycle: a 3-D torus, whose LU factor
+    # fills far past the input, so the rung must run CG rather than
+    # factor it.  The stationary distribution is uniform: the first
+    # walker sits at node 0 with probability 1/k.
+    import numpy as np
+    from scipy import sparse as sp
+
+    k = 12 if h.quick else 20
+    step = sp.csr_matrix(
+        (np.repeat([0.5, 0.25, 0.25], k),
+         (np.tile(np.arange(k), 3),
+          np.concatenate([np.arange(k), (np.arange(k) + 1) % k,
+                          (np.arange(k) - 1) % k]))),
+        shape=(k, k))
+    torus = SparseChain(
+        matrix=sp.kron(sp.kron(step, step), step, format="csr"),
+        states=range(k ** 3), event_mask=np.arange(k ** 3) < k * k)
+    torus_s, (torus_value, torus_cert, _) = timed(
+        lambda: solve_long_run(torus, epsilon=epsilon), h.rounds)
+    torus_err = abs(torus_value - 1 / k)
+    h.record("sparse_krylov_torus3", torus_s,
+             checksum({"interval": [repr(torus_value - torus_cert.bound),
+                                    repr(torus_value + torus_cert.bound)]}),
+             states=k ** 3, certificate=torus_cert.as_dict())
+    h.check("sparse_krylov_torus3_within_certificate",
+            torus_cert.solver == "power+cg" and torus_cert.satisfies()
+            and torus_err <= torus_cert.bound <= epsilon,
+            f"{k}^3 states, solver {torus_cert.solver}: |answer - 1/k| = "
+            f"{torus_err:.3e} <= bound = {torus_cert.bound:.3e} <= "
+            f"eps = {epsilon:.0e}")
 
 
 def _walker_family(quick: bool):

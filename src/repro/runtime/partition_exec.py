@@ -176,9 +176,9 @@ def evaluate_partitioned(
 
     with phase_scope(context, "partition-plan") as scope:
         if plan is None:
+            # No ``database``: the executor reads no state bound.
             plan = compute_partition_plan(
                 kernel,
-                database=initial,
                 event=query.event if isinstance(query.event, TupleIn) else None,
                 semantics=semantics,
             )

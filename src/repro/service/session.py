@@ -339,10 +339,11 @@ class EngineSession:
         return self._hints
 
     def _partition_plan(self):
-        """The §5.1 partition plan: admission's, or planned on first use."""
+        """The §5.1 partition plan: admission's, or planned on first use
+        (without state bounds: only the analyzer's PP002 reads them)."""
         if self._partition is None and self.analysis is None:
             self._partition = compute_partition_plan(
-                self.kernel, database=self.database, semantics=self.semantics
+                self.kernel, semantics=self.semantics
             )
         return self._partition
 

@@ -5,7 +5,8 @@ The degradation rung between exact and sampling (ROADMAP
 ``scipy.sparse`` CSR matrix by streaming frontier exploration
 (:mod:`repro.sparse.assemble`), solve stationary distributions by
 power iteration and absorption probabilities by SCC condensation plus
-per-block GMRES/CG with a direct fallback (:mod:`repro.sparse.solve`),
+per-block sparse LU or CG/GMRES, chosen by predicted fill
+(:mod:`repro.sparse.solve`),
 and wrap every answer in a :class:`SolveCertificate` converting a
 posteriori residual norms into a rigorous error interval
 (:mod:`repro.sparse.certificate`).  Answers that cannot be certified
@@ -26,14 +27,13 @@ from repro.sparse.evaluate import (
     DEFAULT_SPARSE_EPSILON,
     evaluate_forever_sparse,
 )
-from repro.sparse.solve import TINY_DIRECT_SIZE, solve_long_run
+from repro.sparse.solve import solve_long_run
 
 __all__ = [
     "CertifiedResult",
     "DEFAULT_SPARSE_EPSILON",
     "SolveCertificate",
     "SparseChain",
-    "TINY_DIRECT_SIZE",
     "assemble_sparse_chain",
     "evaluate_forever_sparse",
     "solve_long_run",

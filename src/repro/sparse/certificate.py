@@ -52,8 +52,13 @@ class SolveCertificate:
         Total iterative-solver iterations (power-iteration steps plus
         Krylov iterations) spent across all component solves.
     solver:
-        Which solver mix produced the answer (e.g.
-        ``"power+gmres"``, ``"direct"``).
+        The solvers that produced the answer, ``+``-joined in first-use
+        order: ``power`` (the power iteration that picks a stationary
+        block's anchor), ``direct`` (sparse-LU factorisations), ``cg``
+        and ``gmres`` (Krylov runs on systems too costly to factor) —
+        e.g. ``"power+direct"`` for a factored irreducible chain,
+        ``"direct"`` for absorption into single-state leaves,
+        ``"exact"`` when no system needed solving.
     components:
         Number of certified sub-solves combined (leaf SCCs plus the
         absorption system).

@@ -4,7 +4,7 @@ Same semantic object as
 :func:`~repro.core.evaluation.evaluate_forever_exact` — the Definition
 3.2 long-run event probability over the Prop 5.4 chain — but the chain
 is streamed into CSR form (:mod:`repro.sparse.assemble`) and solved
-iteratively with a posteriori certification
+with a posteriori certification
 (:mod:`repro.sparse.solve`).  The contract that makes this a
 first-class degradation rung rather than a fast-but-loose path:
 

@@ -1,30 +1,38 @@
-"""Certified iterative solves on CSR chains (Prop 5.4 / Thm 5.5 shape).
+"""Certified solves on CSR chains (Prop 5.4 / Thm 5.5 shape).
 
-Two solver families, each emitting the residuals its certificate is
-built from:
+Every linear system is a nonsingular M-matrix solved by one
+:class:`_System`: factored once by sparse LU (SuperLU) when its
+elimination is cheap, else solved per right-hand side by a Krylov run
+(CG when symmetric, restarted GMRES otherwise) and factored only after
+a run misses its budget.  The certificates trust none of it, only
+residuals measured afterwards:
 
 * **Stationary mass** of an irreducible block — power iteration on the
   lazified matrix ``(P + I) / 2`` (same stationary distribution,
-  provably aperiodic, so periodic blocks converge too).  The iterate is
-  certified through the *regeneration system*: anchoring a reference
-  state ``s``, the expected-visits vector ``w`` (visits to each other
-  state between returns to ``s``) solves the nonsingular M-matrix
-  system ``(I - Q̃)ᵀ wᵀ = pᵀ`` and the stationary distribution is
-  ``π = (1, w) / (1 + Σw)`` up to relabelling.  The power iterate
-  supplies ``ŵ``; its true residual in that system plus one
-  amplification solve (``(I - Q̃)ᵀ c = 1``) give the elementwise
-  enclosure ``|w - ŵ| <= ||r||_inf · ĉ / (1 - ||s_c||_inf)``.
-* **Absorption probabilities** into the leaf SCCs — per-block Krylov
-  solves (GMRES, or CG when the system is symmetric) of
-  ``(I - Q) a = b`` over the transient states, with a direct sparse-LU
-  fallback for tiny blocks and for Krylov non-convergence.  The
-  expected-exit-time solve ``(I - Q) t = 1`` certifies the answer:
+  provably aperiodic, so periodic blocks converge too) picks the anchor
+  ``s``, the state of largest mass.  The answer is certified through
+  the *regeneration system*: the expected-visits vector ``w`` (visits
+  to each other state between returns to ``s``) solves
+  ``(I - Q̃)ᵀ wᵀ = pᵀ`` and the stationary distribution is
+  ``π = (1, w) / (1 + Σw)`` up to relabelling.  ``ŵ`` is whichever of
+  that system's solution and the power iterate's ratio ``μ / μ(s)``
+  has the smaller residual; with the amplifier ``ĉ`` of
+  ``(I - Q̃)ᵀ c = 1`` it gives the elementwise enclosure
+  ``|w - ŵ| <= ||r||_inf · ĉ / (1 - ||s_c||_inf)``.
+* **Absorption probabilities** into the leaf SCCs — the system
+  ``I - Q`` over the transient states yields every leaf's ``â`` of
+  ``(I - Q) a = b`` and the expected-exit-time amplifier of
+  ``(I - Q) t = 1``, which certifies them:
   ``|a - â|(start) <= ||r||_inf · t̂(start) / (1 - ||s||_inf)``.
 
-Both bounds rest on the inverse-positivity of M-matrices
-(``(I - Q)^{-1} >= 0`` for substochastic ``Q`` with spectral radius
-below one); see ``docs/sparse.md`` for the derivation and the float64
-rounding allowance added on top.
+A factorisation that float64 rounding made exactly singular (a
+self-loop of ``1 - 1e-17`` rounds to 1, so ``I - Q`` gets a zero
+column) leaves its system without an amplifier, and the enclosure
+degrades to ``(0, 1)``.  Both bounds rest on the inverse-positivity of
+M-matrices (``(I - Q)^{-1} >= 0`` for substochastic ``Q`` with spectral
+radius below one); every residual carries the float64 error of its own
+evaluation.  See ``docs/sparse.md`` for the derivation, the solver
+choice and the rounding allowance added on top.
 """
 
 from __future__ import annotations
@@ -41,21 +49,15 @@ from repro.errors import MarkovChainError
 from repro.sparse.assemble import SparseChain
 from repro.sparse.certificate import SolveCertificate
 
-__all__ = ["solve_long_run", "TINY_DIRECT_SIZE"]
-
-#: Blocks at or below this many states skip Krylov and solve directly.
-TINY_DIRECT_SIZE = 64
+__all__ = ["solve_long_run"]
 
 #: Amplification solves only need a loose residual; past this the
 #: enclosure ``c <= ĉ / (1 - ||s||_inf)`` stops being usable.
 _MAX_AMPLIFIER_RESIDUAL = 0.5
 
-#: Inner-iteration cap per Krylov solve.  Systems Krylov cannot crack
-#: in this many steps (ill-conditioned drift chains, long tridiagonal
-#: bands) go to sparse LU instead of grinding: the chains this
-#: subsystem sees have a handful of nonzeros per row, so a direct
-#: factorisation is near-linear and the a posteriori residual — not
-#: the solver's convergence flag — carries the certificate either way.
+#: Inner-iteration cap per Krylov run, and the yardstick for factoring:
+#: a system is factored when its elimination costs at most this many
+#: matrix–vector products.
 _KRYLOV_BUDGET = 512
 
 _EPS = float(np.finfo(np.float64).eps)
@@ -86,73 +88,116 @@ class _Tally:
             self.solvers = self.solvers + (solver,)
 
 
-def _solve_system(
-    matrix: Any,
-    rhs: np.ndarray,
-    rtol: float,
-    maxiter: int,
-    tally: _Tally,
-) -> np.ndarray:
-    """Solve ``matrix @ x = rhs``: Krylov first, direct LU as fallback.
-
-    Tiny systems go straight to sparse LU — Krylov setup costs more
-    than elimination there.  Krylov iterations are counted into the
-    tally; the *certificate* never trusts the solver's claimed
-    convergence, only the residual computed afterwards by the caller.
-    """
-    n = matrix.shape[0]
-    if n == 0:
-        return np.zeros(0)
-    if n <= TINY_DIRECT_SIZE:
-        x = _spla.spsolve(matrix.tocsc(), rhs)
-        tally.absorb(0, 0.0, "direct")
-        return np.atleast_1d(x)
-    steps = [0]
-
-    def count(_arg: object) -> None:
-        steps[0] += 1
-
-    budget = min(maxiter, _KRYLOV_BUDGET)
-    symmetric = (matrix != matrix.T).nnz == 0
-    if symmetric:
-        x, info = _spla.cg(matrix, rhs, rtol=rtol, atol=0.0,
-                           maxiter=budget, callback=count)
-        solver = "cg"
-    else:
-        # gmres counts *outer* restart cycles in maxiter; convert the
-        # inner-iteration budget so both solvers spend comparable work.
-        x, info = _spla.gmres(matrix, rhs, rtol=rtol, atol=0.0,
-                              maxiter=max(1, budget // 64), restart=64,
-                              callback=count, callback_type="pr_norm")
-        solver = "gmres"
-    if info != 0:
-        # Krylov stalled or hit its budget: fall back to sparse LU and
-        # let the a posteriori residual tell the truth about accuracy.
-        x = np.atleast_1d(_spla.spsolve(matrix.tocsc(), rhs))
-        solver += "+direct"
-    tally.absorb(steps[0], 0.0, solver)
-    return x
-
-
 def _identity_minus(q: Any) -> Any:
     return (_sparse.identity(q.shape[0], format="csr") - q).tocsr()
 
 
-def _amplifier(system: Any, rtol: float, maxiter: int,
-               tally: _Tally) -> np.ndarray | None:
-    """Certified elementwise upper bound on ``system^{-1} @ 1``.
+def _elimination_work(matrix: Any) -> float:
+    """Multiply–adds of eliminating ``matrix`` inside its envelope.
 
-    ``system`` must be a nonsingular M-matrix (``I - Q`` shape), whose
-    inverse is elementwise non-negative.  Returns ``None`` when even
-    the loose residual needed for the enclosure cannot be reached —
-    the caller then has no finite certificate and must refuse.
+    Renumbered in reverse Cuthill–McKee order, elimination without
+    pivoting (an M-matrix needs none) fills nothing outside the
+    envelope of the symmetrised pattern, so ``Σ w_i²`` over its row
+    widths ``w_i`` bounds the work: about ``n`` on path- and cycle-like
+    chains, towards ``n³`` on well-connected ones.  SuperLU factors in
+    its own column order, which filled less than this envelope on every
+    chain shape measured (``docs/sparse.md``).
     """
-    ones = np.ones(system.shape[0])
-    c_hat = _solve_system(system, ones, rtol, maxiter, tally)
-    residual = float(np.max(np.abs(ones - system @ c_hat)))
-    if residual >= _MAX_AMPLIFIER_RESIDUAL:
-        return None
-    return np.maximum(c_hat, 0.0) / (1.0 - residual)
+    n = matrix.shape[0]
+    position = np.empty(n, dtype=np.int64)
+    position[_csgraph.reverse_cuthill_mckee(matrix)] = np.arange(n)
+    coo = matrix.tocoo()
+    row, col = position[coo.row], position[coo.col]
+    first = np.arange(n)
+    np.minimum.at(first, np.maximum(row, col), np.minimum(row, col))
+    width = (np.arange(n) - first).astype(np.float64)
+    return float(width @ width)
+
+
+class _System:
+    """A nonsingular M-matrix (``I - Q`` shape) and its solves.
+
+    Factored once by SuperLU when :func:`_elimination_work` is at most
+    ``_KRYLOV_BUDGET`` matrix–vector products, and every right-hand
+    side solved from that factor; otherwise CG (symmetric) or
+    restarted GMRES per right-hand side, factored only once a run
+    misses its budget.  An exactly singular factor answers NaN, which
+    fails every residual check.
+    """
+
+    def __init__(self, matrix: Any, tally: _Tally) -> None:
+        self.matrix = matrix
+        # |A| from the arrays: ``abs(matrix)`` would sort ``matrix``'s
+        # indices in place and change the rounding of ``matrix @ x``.
+        self.magnitude = _sparse.csr_matrix(
+            (np.abs(matrix.data), matrix.indices, matrix.indptr),
+            shape=matrix.shape)
+        self.terms = np.diff(matrix.indptr) + 2
+        self.tally = tally
+        self.lu: Any = None
+        self.krylov = _elimination_work(matrix) > _KRYLOV_BUDGET * matrix.nnz
+        self.symmetric = self.krylov and (matrix != matrix.T).nnz == 0
+        if not self.krylov:
+            self._factor()
+
+    def _factor(self) -> None:
+        self.krylov = False
+        self.tally.absorb(0, 0.0, "direct")
+        try:
+            self.lu = _spla.splu(self.matrix.tocsc())
+        except RuntimeError:  # SuperLU: "Factor is exactly singular"
+            self.lu = None
+
+    def solve(self, rhs: np.ndarray, rtol: float) -> np.ndarray:
+        if self.krylov:
+            steps = [0]
+
+            def count(_arg: object) -> None:
+                steps[0] += 1
+
+            if self.symmetric:
+                x, info = _spla.cg(self.matrix, rhs, rtol=rtol, atol=0.0,
+                                   maxiter=_KRYLOV_BUDGET, callback=count)
+            else:
+                # gmres counts restart cycles in maxiter: convert the
+                # inner-iteration budget so both spend comparable work.
+                x, info = _spla.gmres(self.matrix, rhs, rtol=rtol, atol=0.0,
+                                      restart=64, maxiter=_KRYLOV_BUDGET // 64,
+                                      callback=count, callback_type="pr_norm")
+            self.tally.absorb(steps[0], 0.0,
+                              "cg" if self.symmetric else "gmres")
+            if info == 0:
+                return np.asarray(x)
+            self._factor()
+        if self.lu is None:
+            return np.full(rhs.shape, np.nan)
+        return np.asarray(self.lu.solve(rhs))
+
+    def residual(self, x: np.ndarray, rhs: np.ndarray) -> float:
+        """``max|rhs - A x|`` plus the float64 error of computing it.
+
+        Row ``i`` of ``A x`` sums ``k_i`` products, so under the
+        IEEE-754 standard model the computed residual is off by at most
+        ``(k_i + 2) · eps · (|rhs| + |A| |x|)_i``, with room for the
+        rounding of ``1 - q_ii`` when ``A`` was formed and of this bound
+        itself.
+        """
+        slack = self.terms * _EPS * (np.abs(rhs) + self.magnitude @ np.abs(x))
+        return float(np.max(np.abs(rhs - self.matrix @ x) + slack))
+
+    def amplifier(self) -> np.ndarray | None:
+        """Certified elementwise upper bound on ``A^{-1} @ 1``.
+
+        Returns ``None`` when even the loose residual the enclosure
+        needs is missed (a NaN residual misses it too) — the caller
+        then has no finite certificate and must refuse.
+        """
+        ones = np.ones(self.matrix.shape[0])
+        c_hat = self.solve(ones, 1e-10)
+        residual = self.residual(c_hat, ones)
+        if not residual < _MAX_AMPLIFIER_RESIDUAL:
+            return None
+        return np.maximum(c_hat, 0.0) / (1.0 - residual)
 
 
 def _power_iterate(matrix: Any, tolerance: float, maxiter: int,
@@ -202,17 +247,23 @@ def _stationary_event_interval(
     power_tol = max(m * _EPS, min(1e-12, rtol))
     mu = _power_iterate(block, power_tol, maxiter, tally)
     anchor = int(np.argmax(mu))
-    keep = np.array([i for i in range(m) if i != anchor], dtype=np.int64)
+    keep = np.delete(np.arange(m), anchor)
     q_tilde = block[keep][:, keep]
-    p_row = np.asarray(block[anchor].todense()).ravel()[keep]
-    system = _identity_minus(q_tilde).T.tocsr()
+    p_row = block[anchor].toarray().ravel()[keep]
+    system = _System(_identity_minus(q_tilde).T.tocsr(), tally)
     w_hat = mu[keep] / mu[anchor] if mu[anchor] > 0.0 else mu[keep]
-    residual = float(np.max(np.abs(p_row - system @ w_hat)))
-    amplifier = _amplifier(system, max(rtol, 1e-10), maxiter, tally)
+    residual = system.residual(w_hat, p_row)
+    amplifier = system.amplifier()
     if amplifier is None:
-        tally.absorb(0, residual, "power")
+        tally.absorb(0, residual, "")
         return 0.0, 1.0
-    tally.absorb(0, residual, "power")
+    # Keep the power ratio unless the solved ŵ has a smaller residual,
+    # so the certificate can only tighten.
+    w_solved = system.solve(p_row, rtol)
+    residual_solved = system.residual(w_solved, p_row)
+    if residual_solved < residual:
+        w_hat, residual = w_solved, residual_solved
+    tally.absorb(0, residual, "")
     delta = residual * amplifier
     w_lo = np.maximum(w_hat - delta, 0.0)
     w_hi = w_hat + delta
@@ -229,45 +280,42 @@ def _stationary_event_interval(
 
 
 def _absorption_intervals(
-    matrix: Any,
-    labels: np.ndarray,
-    leaf_labels: list[int],
+    rows: Any,
+    leaf_sizes: np.ndarray,
     start: int,
     rtol: float,
-    maxiter: int,
     tally: _Tally,
-) -> dict[int, tuple[float, float]]:
+) -> list[tuple[float, float]]:
     """Certified absorption-probability enclosures from ``start``.
 
-    Returns ``{leaf_label: (low, high)}``.  ``start`` must be
-    transient.  The enclosure degrades to ``(0, 1)`` per leaf when the
-    exit-time amplifier cannot be certified.
+    ``rows`` are the transient states' rows, columns ordered transient
+    states first and then each leaf's states, leaf by leaf, with
+    ``leaf_sizes`` states each; ``start`` is a transient index.
+    Returns one ``(low, high)`` per leaf, in that order; every one is
+    ``(0, 1)`` when the exit-time amplifier cannot be certified.
     """
-    leaf_set = set(leaf_labels)
-    transient = np.array(
-        [i for i in range(matrix.shape[0]) if int(labels[i]) not in leaf_set],
-        dtype=np.int64,
+    transient = rows.shape[0]
+    system = _System(_identity_minus(rows[:, :transient]), tally)
+    amplifier = system.amplifier()
+    if amplifier is None:
+        return [(0.0, 1.0)] * len(leaf_sizes)
+    # Column k of ``into``: the one-step probability of entering leaf k.
+    leaf_of = np.repeat(np.arange(len(leaf_sizes)), leaf_sizes)
+    collect = _sparse.csr_matrix(
+        (np.ones(len(leaf_of)), (np.arange(len(leaf_of)), leaf_of)),
+        shape=(len(leaf_of), len(leaf_sizes)),
     )
-    local = {int(i): k for k, i in enumerate(transient)}
-    start_local = local[start]
-    q = matrix[transient][:, transient]
-    system = _identity_minus(q)
-    amplifier = _amplifier(system, max(rtol, 1e-10), maxiter, tally)
-    margin = _rounding_margin(len(transient))
-    intervals: dict[int, tuple[float, float]] = {}
-    for label in leaf_labels:
-        leaf_cols = np.where(labels == label)[0]
-        rhs = np.asarray(matrix[transient][:, leaf_cols].sum(axis=1)).ravel()
-        a_hat = _solve_system(system, rhs, rtol, maxiter, tally)
-        residual = float(np.max(np.abs(rhs - system @ a_hat)))
-        if amplifier is None:
-            tally.absorb(0, residual, "")
-            intervals[label] = (0.0, 1.0)
-            continue
-        error = residual * float(amplifier[start_local]) + margin
+    into = (rows[:, transient:] @ collect).tocsc()
+    margin = _rounding_margin(transient)
+    intervals: list[tuple[float, float]] = []
+    for k in range(len(leaf_sizes)):
+        rhs = into[:, [k]].toarray().ravel()
+        a_hat = system.solve(rhs, rtol)
+        residual = system.residual(a_hat, rhs)
         tally.absorb(0, residual, "")
-        value = float(a_hat[start_local])
-        intervals[label] = (max(0.0, value - error), min(1.0, value + error))
+        error = residual * float(amplifier[start]) + margin
+        value = float(a_hat[start])
+        intervals.append((max(0.0, value - error), min(1.0, value + error)))
     return intervals
 
 
@@ -284,7 +332,8 @@ def solve_long_run(
     space.  Never raises on accuracy grounds — callers compare
     ``certificate.satisfies()`` and decide whether to refuse (the
     sparse evaluator turns dissatisfaction into
-    :class:`~repro.errors.SolveRefusedError`).
+    :class:`~repro.errors.SolveRefusedError`).  ``max_iterations``
+    caps the power iteration of each leaf block.
 
     Raises :class:`~repro.errors.MarkovChainError` for structurally
     broken inputs (non-stochastic rows).
@@ -306,45 +355,51 @@ def solve_long_run(
     n_components, labels = _csgraph.connected_components(
         matrix, directed=True, connection="strong"
     )
+    # A leaf SCC is one that no transition leaves.
     coo = matrix.tocoo()
-    open_labels = set(
-        int(labels[i])
-        for i, j in zip(coo.row, coo.col)
-        if labels[i] != labels[j]
-    )
-    leaf_labels = sorted(set(range(n_components)) - open_labels)
-    start_label = int(labels[chain.initial_index])
+    source, target = labels[coo.row], labels[coo.col]
+    is_leaf = np.ones(n_components, dtype=bool)
+    is_leaf[source[source != target]] = False
+    in_leaf = is_leaf[labels]
+    transient = n - int(np.count_nonzero(in_leaf))
+    # Renumber the states: transient ones first, then each leaf's in
+    # label order, keeping id order within each group, so every block
+    # below is a contiguous slice of one permuted matrix.
+    order = np.argsort(np.where(in_leaf, labels, -1), kind="stable")
+    permuted = matrix[order][:, order]
+    event_mask = chain.event_mask[order]
+    leaf_sizes = np.bincount(labels, minlength=n_components)[is_leaf]
+    leaf_stops = transient + np.cumsum(leaf_sizes)
     structure: dict[str, Any] = {
         "states": n,
         "nnz": chain.nnz,
         "sccs": int(n_components),
-        "leaf_sccs": len(leaf_labels),
+        "leaf_sccs": len(leaf_sizes),
         "irreducible": n_components == 1,
-        "transient_states": int(np.sum(~np.isin(labels, leaf_labels))),
+        "transient_states": transient,
     }
 
-    def leaf_interval(label: int) -> tuple[float, float]:
-        members = np.where(labels == label)[0]
-        block = matrix[members][:, members]
+    def leaf_interval(k: int) -> tuple[float, float]:
+        block = slice(int(leaf_stops[k] - leaf_sizes[k]), int(leaf_stops[k]))
         return _stationary_event_interval(
-            block, chain.event_mask[members], rtol, max_iterations, tally
+            permuted[block, block], event_mask[block], rtol, max_iterations,
+            tally,
         )
 
-    if start_label in leaf_labels:
+    start = int(np.flatnonzero(order == chain.initial_index)[0])
+    if start >= transient:
         # Already inside a closed component (covers the irreducible
         # case): the answer is that component's stationary event mass.
-        low, high = leaf_interval(start_label)
+        low, high = leaf_interval(int(np.searchsorted(leaf_stops, start, "right")))
     else:
         absorption = _absorption_intervals(
-            matrix, labels, leaf_labels, chain.initial_index,
-            rtol, max_iterations, tally,
+            permuted[:transient], leaf_sizes, start, rtol, tally
         )
         low = high = 0.0
-        for label in leaf_labels:
-            a_lo, a_hi = absorption[label]
+        for k, (a_lo, a_hi) in enumerate(absorption):
             if a_hi <= 0.0:
                 continue
-            e_lo, e_hi = leaf_interval(label)
+            e_lo, e_hi = leaf_interval(k)
             low += a_lo * e_lo
             high += a_hi * e_hi
     margin = _rounding_margin(n)
@@ -359,6 +414,6 @@ def solve_long_run(
         delta=delta,
         iterations=tally.iterations,
         solver="+".join(tally.solvers) if tally.solvers else "exact",
-        components=max(1, len(leaf_labels)),
+        components=max(1, len(leaf_sizes)),
     )
     return value, certificate, structure

@@ -19,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.markov.absorption import long_run_event_probability
+from repro.markov.analysis import classify, leaf_components
 from repro.markov.chain import chain_from_edges
 from repro.sparse import solve_long_run, sparse_chain_from_markov
 
@@ -151,3 +152,20 @@ def test_unreachable_tolerance_refuses_not_lies(chain):
     # The value itself is still as good as the certificate claims —
     # refusal is about honesty of the bound, not about the answer.
     assert abs(value - _exact(chain, 0)) <= certificate.bound
+
+
+@given(st.one_of(
+    absorbing_chains(),
+    multi_leaf_chains(),
+    periodic_chains().map(lambda case: case[0]),
+))
+@settings(max_examples=40, deadline=None)
+def test_structure_matches_the_exact_classification(chain):
+    """The array-level leaf detection against the per-state reference."""
+    sparse = sparse_chain_from_markov(chain, 0, event=_event)
+    _, _, structure = solve_long_run(sparse, epsilon=1e-9)
+    summary = classify(chain)
+    leaf_states = sum(len(leaf) for leaf in leaf_components(chain))
+    for key in ("states", "sccs", "leaf_sccs", "irreducible"):
+        assert structure[key] == summary[key]
+    assert structure["transient_states"] == chain.size - leaf_states

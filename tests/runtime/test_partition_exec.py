@@ -15,10 +15,12 @@ walkers that share one relation but walk disjoint graphs.
 
 from __future__ import annotations
 
+import json
 import os
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -59,6 +61,8 @@ from repro.runtime import (
     evaluate_partitioned,
 )
 from repro.workloads import two_component_graph
+
+EXAMPLES = Path(__file__).resolve().parents[2] / "examples" / "programs"
 
 
 def walk_step(name: str):
@@ -326,6 +330,33 @@ class TestPlanIntegration:
         )
         whole = evaluate_forever_exact(ForeverQuery(kernel, event), db)
         assert result.probability == whole.probability
+
+    def test_execution_paths_compute_no_state_bounds(
+        self, two_walkers, monkeypatch, capsys
+    ):
+        """A plan-less ``evaluate_partitioned`` and a CLI session (which
+        runs no admission analysis) plan without the support fixpoint:
+        nothing on either path reads a state bound."""
+        from repro.analysis import partition
+        from repro.cli import main
+
+        def unread(*_args, **_kwargs):
+            raise AssertionError("state bounds computed for an execution")
+
+        monkeypatch.setattr(partition, "_support_fixpoint", unread)
+        kernel, db = two_walkers
+        query = ForeverQuery(kernel, EVENTS["and"])
+        result = evaluate_partitioned(query, db)
+        assert result.probability == evaluate_forever_exact(query, db).probability
+
+        assert main([
+            "forever", str(EXAMPLES / "two_walkers.ra"),
+            "--db", str(EXAMPLES / "two_walkers.db.json"),
+            "--event", "C(b) and D(a)", "--partition", "auto", "--json",
+        ]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["method"] == "partition-exact"
+        assert payload["partition"]["components"] == 2
 
 
 # -- tuple-level plans --------------------------------------------------------
