@@ -15,20 +15,29 @@ convergence heuristic the paper sketches in Section 5.1
 (:func:`adaptive_burn_in` — "computing intermediate probabilities up
 until convergence" over an ensemble of parallel walks).
 
+With a transition cache every step is one uniform, so the sampler
+walks a chunk of samples in lockstep (:meth:`TransitionCache.walk
+<repro.perf.cache.TransitionCache.walk>`) on the uniforms the
+walk-at-a-time loop would draw, with the same tallies; uncached steps
+draw a varying number of uniforms and walk one sample at a time.
+
 Resilience: the sampler is interruptible through an optional
 :class:`~repro.runtime.RunContext` (budget + cancellation checked once
-per kernel application) and can persist its exact position — partial
-tallies, mid-burn-in walker state, and the full RNG state — to a
-:class:`~repro.runtime.Checkpoint`, from which a later run resumes
-bit-identically (budget/cancellation interruptions stop on step
-boundaries; a ``KeyboardInterrupt`` checkpoint is best-effort, since
-the signal can land between the draws of a single transition).
+per kernel application, or per lockstep step and row computed) and can
+persist its exact position — partial tallies, mid-burn-in walker state,
+and the full RNG state — to a :class:`~repro.runtime.Checkpoint`, from
+which a later run resumes bit-identically (step budgets stop on the
+exact step; a cancelled lockstep chunk saves the chunk's start; a
+``KeyboardInterrupt`` checkpoint is best-effort, since the signal can
+land between the draws of a single transition).
 """
 
 from __future__ import annotations
 
 from pathlib import Path
 from typing import TYPE_CHECKING
+
+import numpy as np
 
 from repro.core.chain_builder import build_state_chain
 from repro.core.evaluation.results import SamplingResult
@@ -171,6 +180,48 @@ def adaptive_burn_in(
     )
 
 
+#: Uniforms one lockstep chunk draws ahead (8 bytes each): a chunk
+#: walks at most this many samples times the burn-in.
+LOCKSTEP_UNIFORMS = 1 << 16
+
+#: Smaller chunks walk one sample at a time: below this many walkers a
+#: lockstep step's fixed array overhead outweighs the steps it batches.
+LOCKSTEP_MIN_WALKERS = 8
+
+
+def _lockstep_chunk(
+    remaining: int, burn_in: int, context: "RunContext | None"
+) -> int:
+    """Samples the next lockstep chunk walks (0: walk the next one alone)."""
+    chunk = min(remaining, max(1, LOCKSTEP_UNIFORMS // max(burn_in, 1)))
+    if context is not None and burn_in:
+        limit = context.budget.max_steps
+        if limit is not None:
+            # A chunk never outruns the step budget: the walk that trips
+            # it runs on its own and stops on the step the budget ends.
+            chunk = min(chunk, max(limit - context.steps_used, 0) // burn_in)
+    return chunk if chunk >= LOCKSTEP_MIN_WALKERS else 0
+
+
+def _lockstep(
+    cache: "TransitionCache",
+    initial: Database,
+    generator,
+    samples: int,
+    burn_in: int,
+    context: "RunContext | None",
+):
+    """Walk ``samples`` walks of ``burn_in`` cached steps in lockstep.
+
+    A cached step consumes exactly one uniform, so drawing the chunk's
+    uniforms sample after sample replays the walk-at-a-time stream.
+    """
+    random = generator.random
+    uniforms = np.array([random() for _ in range(samples * burn_in)])
+    tick = None if context is None else context.tick_steps
+    return cache.walk(initial, uniforms.reshape(samples, burn_in), tick)
+
+
 def _load_resume(resume: "Checkpoint | str | Path | None") -> "Checkpoint | None":
     if resume is None:
         return None
@@ -222,7 +273,8 @@ def evaluate_forever_mcmc(
     context:
         Optional :class:`~repro.runtime.RunContext`; each kernel
         application is charged one step, so budgets and cancellation
-        interrupt the run with one-transition latency.
+        interrupt the run with one-transition latency (one lockstep
+        step on a cache; a lockstep chunk never outruns a step budget).
     checkpoint_path:
         When set, an interruption (budget, cancellation, or Ctrl-C)
         writes a :class:`~repro.runtime.Checkpoint` here before the
@@ -237,8 +289,9 @@ def evaluate_forever_mcmc(
         When set, burn-in steps draw successors from a bounded
         :class:`~repro.perf.cache.TransitionCache` of that size — each
         distinct state's exact row is computed once, then sampling is
-        one uniform draw plus a bisection.  Only for kernels with small
-        per-state support (the exact row enumerates all worlds), and
+        one uniform draw plus a bisection, and all samples of a chunk
+        walk in lockstep.  Only for kernels with small per-state
+        support (the exact row enumerates all worlds), and
         note the RNG stream differs from the uncached sampler (results
         stay deterministic per ``(seed, cache_size)``; the setting is
         recorded in checkpoints so resumes stay bit-identical).
@@ -278,18 +331,20 @@ def evaluate_forever_mcmc(
 
     generator = make_rng(rng)
     query.kernel.check_schema(initial)
-    if isinstance(initial, Database):
+    # Only checkpoint writes and resume checks read the fingerprint, and
+    # it serialises the whole database: skip it for every other run.
+    fingerprint = None
+    if checkpoint_path is not None or resume is not None:
         fingerprint_db = initial
-    else:
-        # A pre-compiled columnar pair (EngineSession): fingerprint the
-        # externed database — checkpoints always serialise frozenset
-        # states, and this path never takes them.
-        from repro.kernel import extern_database
+        if not isinstance(initial, Database):
+            # A pre-compiled columnar pair: fingerprint the externed
+            # database, as checkpoints serialise frozenset states.
+            from repro.kernel import extern_database
 
-        fingerprint_db = extern_database(initial)
-    fingerprint = run_fingerprint(
-        repr(query.kernel), fingerprint_db, repr(query.event)
-    )
+            fingerprint_db = extern_database(initial)
+        fingerprint = run_fingerprint(
+            repr(query.kernel), fingerprint_db, repr(query.event)
+        )
 
     checkpoint = _load_resume(resume)
     if checkpoint is not None:
@@ -397,41 +452,67 @@ def evaluate_forever_mcmc(
 
     tracer = tracer_of(context)
     sample_index = start_sample
-    state = initial
-    steps_done = 0
+    state, steps_done = initial, 0
+    # (generator state, first sample) of the lockstep chunk in flight,
+    # kept only for a checkpoint.
+    rewind: tuple | None = None
+
+    def tally(hit: bool) -> None:
+        nonlocal positive, sample_index
+        positive += hit
+        sample_index += 1
+        # Chaos hook: lets the fault harness interrupt mid-run on an
+        # exact sample boundary (a global read when inactive).
+        maybe_fire(SITE_SAMPLER_SAMPLE, sample=sample_index)
+        if tracer.enabled:
+            tracer.event(
+                "sample", index=sample_index, hit=bool(hit), positive=positive,
+            )
+
     try:
         with phase_scope(
             context, "sample", planned=planned, burn_in=burn_in
         ):
             while sample_index < planned:
-                if resumed_walker is not None:
-                    state, steps_done = resumed_walker
-                    resumed_walker = None
-                else:
-                    state = initial
-                    steps_done = 0
+                chunk = 0
+                if cache is not None and resumed_walker is None:
+                    chunk = _lockstep_chunk(planned - sample_index, burn_in, context)
+                if chunk:
+                    if checkpoint_path is not None:
+                        rewind = (generator.getstate(), sample_index)
+                    states, which = _lockstep(
+                        cache, initial, generator, chunk, burn_in, context
+                    )
+                    hits = [query.event.holds(final) for final in states]
+                    for index in which.tolist():
+                        tally(hits[index])
+                    rewind = None
+                    continue
+                # One walk at a time: uncached steps draw a varying number
+                # of uniforms, a resumed walk is part-way through, a walk
+                # the step budget cannot finish must stop on the step where
+                # the budget runs out, and a few walks are not worth a chunk.
+                state, steps_done = resumed_walker or (initial, 0)
+                resumed_walker = None
                 while steps_done < burn_in:
                     if context is not None:
                         context.tick_steps()
                     state = draw(state, generator)
                     steps_done += 1
-                hit = query.event.holds(state)
-                positive += hit
-                sample_index += 1
-                # Chaos hook: lets the fault harness interrupt mid-run on
-                # an exact sample boundary (a global read when inactive).
-                maybe_fire(SITE_SAMPLER_SAMPLE, sample=sample_index)
-                if tracer.enabled:
-                    tracer.event(
-                        "sample", index=sample_index, hit=bool(hit),
-                        positive=positive,
-                    )
+                tally(query.event.holds(state))
     except BaseException:
         if checkpoint_path is not None:
             from repro.io import database_to_json
 
             walker = None
-            if 0 < steps_done < burn_in:
+            if rewind is not None:
+                # Replay the chunk's draws up to the first sample not
+                # tallied, which is where a walk-at-a-time run would be.
+                rng_state, first = rewind
+                generator.setstate(rng_state)
+                for _ in range((sample_index - first) * burn_in):
+                    generator.random()
+            elif 0 < steps_done < burn_in:
                 walker = {
                     "state": database_to_json(state),
                     "steps_done": steps_done,

@@ -30,27 +30,30 @@ def transition_graph(chain: MarkovChain[S]) -> "nx.DiGraph":
     return graph
 
 
+def _components(chain: MarkovChain[S]) -> list[tuple[frozenset[S], bool]]:
+    """Every SCC with whether it is closed (a leaf of the condensation),
+    in a topological order of the condensation, from one SCC pass."""
+    condensation = nx.condensation(transition_graph(chain))
+    return [
+        (
+            frozenset(condensation.nodes[node]["members"]),
+            condensation.out_degree(node) == 0,
+        )
+        for node in nx.topological_sort(condensation)
+    ]
+
+
 def strongly_connected_components(chain: MarkovChain[S]) -> list[frozenset[S]]:
     """All SCCs, in a topological order of the condensation (sources
     first, leaves last)."""
-    graph = transition_graph(chain)
-    condensation = nx.condensation(graph)
-    ordered = nx.topological_sort(condensation)
-    return [frozenset(condensation.nodes[i]["members"]) for i in ordered]
+    return [component for component, _ in _components(chain)]
 
 
 def leaf_components(chain: MarkovChain[S]) -> list[frozenset[S]]:
     """The *closed* (leaf) SCCs: components with no transition leaving
     them.  A random walk is absorbed into one of these with probability
     one (Theorem 5.5)."""
-    leaves = []
-    for component in strongly_connected_components(chain):
-        closed = all(
-            chain.successors(state).support() <= component for state in component
-        )
-        if closed:
-            leaves.append(component)
-    return leaves
+    return [component for component, closed in _components(chain) if closed]
 
 
 def is_irreducible(chain: MarkovChain[S]) -> bool:
@@ -101,6 +104,15 @@ def period(chain: MarkovChain[S], state: S) -> int:
     raise MarkovChainError(f"unknown state {state!r}")
 
 
+def _aperiodic(chain: MarkovChain[S], leaves: list[frozenset[S]]) -> bool:
+    return all(period_of_component(chain, component) == 1 for component in leaves)
+
+
+def _positively_recurrent(chain: MarkovChain[S], leaves: list[frozenset[S]]) -> bool:
+    covered = frozenset().union(*leaves) if leaves else frozenset()
+    return covered == frozenset(chain.states)
+
+
 def is_aperiodic(chain: MarkovChain[S]) -> bool:
     """True when every recurrent state has period 1.
 
@@ -108,10 +120,7 @@ def is_aperiodic(chain: MarkovChain[S]) -> bool:
     period is irrelevant to long-run behaviour; for irreducible chains
     this reduces to the usual definition.
     """
-    return all(
-        period_of_component(chain, component) == 1
-        for component in leaf_components(chain)
-    )
+    return _aperiodic(chain, leaf_components(chain))
 
 
 def is_positively_recurrent(chain: MarkovChain[S]) -> bool:
@@ -120,9 +129,7 @@ def is_positively_recurrent(chain: MarkovChain[S]) -> bool:
     In a finite chain, a state is positively recurrent iff it lies in a
     closed (leaf) SCC, so this holds iff every SCC is closed.
     """
-    leaves = leaf_components(chain)
-    covered = frozenset().union(*leaves) if leaves else frozenset()
-    return covered == frozenset(chain.states)
+    return _positively_recurrent(chain, leaf_components(chain))
 
 
 def is_ergodic(chain: MarkovChain[S]) -> bool:
@@ -134,7 +141,8 @@ def is_ergodic(chain: MarkovChain[S]) -> bool:
     distribution is unique only for irreducible chains; callers that
     need uniqueness should check :func:`is_irreducible` as well.
     """
-    return is_aperiodic(chain) and is_positively_recurrent(chain)
+    leaves = leaf_components(chain)
+    return _aperiodic(chain, leaves) and _positively_recurrent(chain, leaves)
 
 
 def is_absorbing_state(chain: MarkovChain[S], state: S) -> bool:
@@ -159,15 +167,18 @@ def reachable_states(chain: MarkovChain[S], start: S) -> frozenset[S]:
 
 
 def classify(chain: MarkovChain[S]) -> dict[str, object]:
-    """A structural summary used by diagnostics and benchmark output."""
-    components = strongly_connected_components(chain)
-    leaves = leaf_components(chain)
+    """A structural summary used by diagnostics and benchmark output
+    (one SCC pass)."""
+    components = _components(chain)
+    leaves = [component for component, closed in components if closed]
+    aperiodic = _aperiodic(chain, leaves)
+    recurrent = _positively_recurrent(chain, leaves)
     return {
         "states": chain.size,
         "sccs": len(components),
         "leaf_sccs": len(leaves),
         "irreducible": len(components) == 1,
-        "aperiodic": is_aperiodic(chain),
-        "positively_recurrent": is_positively_recurrent(chain),
-        "ergodic": is_ergodic(chain),
+        "aperiodic": aperiodic,
+        "positively_recurrent": recurrent,
+        "ergodic": aperiodic and recurrent,
     }

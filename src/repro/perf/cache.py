@@ -26,6 +26,12 @@ Two caveats, both documented in ``docs/performance.md``:
   Results are drawn from the *same exact distribution* but the random
   stream differs, so cached and uncached runs with the same seed are
   not bit-identical (each is individually deterministic).
+
+Because a cached step is one uniform, many walks can advance together:
+:meth:`TransitionCache.walk` moves a whole batch of walkers one step at
+a time over a :class:`RowView`, an id-indexed CSR copy of the cache's
+rows, and picks exactly the successor :meth:`CachedRow.sample` would
+pick from the same uniform.
 """
 
 from __future__ import annotations
@@ -35,6 +41,9 @@ import threading
 from bisect import bisect_right
 from collections import OrderedDict
 from itertools import accumulate
+from typing import Callable
+
+import numpy as np
 
 from repro.core.interpretation import Interpretation
 from repro.errors import ProbabilityError
@@ -70,17 +79,21 @@ class CachedRow:
         self.distribution = distribution
         self._index: tuple[list[Database], list[float]] | None = None
 
-    def _build_index(self) -> tuple[list[Database], list[float]]:
-        outcomes = sorted(self.distribution, key=database_sort_key)
-        cumulative = list(
-            accumulate(float(self.distribution.probability(o)) for o in outcomes)
-        )
-        self._index = (outcomes, cumulative)
-        return self._index
+    def index(self) -> tuple[list[Database], list[float]]:
+        """``(outcomes, cumulative)``: the canonical outcome order and the
+        running float sums a draw bisects."""
+        index = self._index
+        if index is None:
+            outcomes = sorted(self.distribution, key=database_sort_key)
+            cumulative = list(
+                accumulate(float(self.distribution.probability(o)) for o in outcomes)
+            )
+            index = self._index = (outcomes, cumulative)
+        return index
 
     def sample(self, rng: random.Random) -> Database:
         """Draw one successor state (one uniform draw, one bisection)."""
-        outcomes, cumulative = self._index or self._build_index()
+        outcomes, cumulative = self.index()
         pick = rng.random() * cumulative[-1]
         index = bisect_right(cumulative, pick)
         if index >= len(outcomes):
@@ -89,6 +102,100 @@ class CachedRow:
 
     def __len__(self) -> int:
         return len(self.distribution)
+
+
+class RowView:
+    """An id-indexed CSR copy of a cache's rows, for lockstep walks.
+
+    States get dense integer ids in first-seen order.  An *expanded* id
+    owns one slice ``start[id]:stop[id]`` of the CSR arrays holding its
+    successors' ids and, as the complex ``start + 1j * c``, the exact
+    cumulative floats ``c`` of its :meth:`CachedRow.index`.  The keys
+    then sort lexicographically across all rows, so :meth:`draw` runs
+    ``bisect_right`` for every walker in one ``searchsorted`` and lands
+    where :meth:`CachedRow.sample` would from the same uniform.
+
+    A view expands at most ``capacity`` rows; :class:`TransitionCache`
+    replaces a full one.  Ids are meaningful only within one view.
+    Readers and writers hold :attr:`lock`.
+    """
+
+    __slots__ = (
+        "capacity", "lock", "states", "ids", "rows", "start", "stop", "total",
+        "successors", "keys", "used",
+    )
+
+    def __init__(self, capacity: int):
+        self.capacity = capacity
+        self.lock = threading.Lock()
+        self.states: list[Database] = []
+        self.ids: dict[Database, int] = {}
+        self.rows = 0
+        # Per id; start -1 marks an id whose row is not expanded yet.
+        self.start = np.full(64, -1, dtype=np.int64)
+        self.stop = np.zeros(64, dtype=np.int64)
+        self.total = np.zeros(64)
+        # Per CSR entry.
+        self.successors = np.zeros(256, dtype=np.int64)
+        self.keys = np.zeros(256, dtype=np.complex128)
+        self.used = 0
+
+    def intern(self, state: Database) -> int:
+        """The id of ``state``, assigned on first sight."""
+        index = self.ids.get(state)
+        if index is None:
+            index = self.ids[state] = len(self.states)
+            self.states.append(state)
+            if index == len(self.start):
+                grown = 2 * index
+                self.start = np.concatenate(
+                    [self.start, np.full(grown - index, -1, dtype=np.int64)]
+                )
+                self.stop = np.resize(self.stop, grown)
+                self.total = np.resize(self.total, grown)
+        return index
+
+    def expand(
+        self, ids: np.ndarray, row: Callable[[Database], CachedRow]
+    ) -> tuple[int, bool]:
+        """Expand the rows of ``ids`` that are missing, as far as capacity
+        allows, reading each through ``row(state)``.  Returns how many
+        rows were added and whether every row of ``ids`` is now here."""
+        missing = ids[self.start[ids] < 0]
+        if not missing.size:
+            return 0, True
+        wanted = np.unique(missing).tolist()
+        for added, index in enumerate(wanted):
+            if self.rows >= self.capacity:
+                return added, False
+            self._add(index, row(self.states[index]))
+        return len(wanted), True
+
+    def _add(self, index: int, row: CachedRow) -> None:
+        outcomes, cumulative = row.index()
+        first = self.used
+        end = first + len(outcomes)
+        if end > len(self.keys):
+            self.successors = np.resize(self.successors, 2 * end)
+            self.keys = np.resize(self.keys, 2 * end)
+        self.successors[first:end] = [self.intern(state) for state in outcomes]
+        self.keys.real[first:end] = first
+        self.keys.imag[first:end] = cumulative
+        self.start[index] = first
+        self.stop[index] = end
+        self.total[index] = cumulative[-1]
+        self.used = end
+        self.rows += 1
+
+    def draw(self, ids: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
+        """One step for walkers at expanded ``ids``: the successor ids
+        that ``bisect_right`` on each row picks for ``uniform * total``."""
+        first = self.start[ids]
+        picks = np.empty(len(ids), dtype=np.complex128)
+        picks.real = first
+        picks.imag = uniforms * self.total[ids]
+        at = np.searchsorted(self.keys[: self.used], picks, side="right")
+        return self.successors[np.minimum(at, self.stop[ids] - 1)]
 
 
 class TransitionCache:
@@ -131,7 +238,10 @@ class TransitionCache:
     (2, 1, 0)
     """
 
-    __slots__ = ("kernel", "maxsize", "_rows", "_lock", "hits", "misses", "evictions")
+    __slots__ = (
+        "kernel", "maxsize", "_rows", "_view", "_lock", "hits", "misses",
+        "evictions",
+    )
 
     def __init__(self, kernel: Interpretation, maxsize: int = DEFAULT_CACHE_SIZE):
         if maxsize < 1:
@@ -139,6 +249,7 @@ class TransitionCache:
         self.kernel = kernel
         self.maxsize = maxsize
         self._rows: OrderedDict[Database, CachedRow] = OrderedDict()
+        self._view: RowView | None = None
         self._lock = threading.Lock()
         self.hits = 0
         self.misses = 0
@@ -178,10 +289,103 @@ class TransitionCache:
         """Draw one successor of ``state`` from the memoized exact row."""
         return self.row(state).sample(rng)
 
+    def view(self) -> RowView:
+        """The cache's current :class:`RowView` (made on first use)."""
+        with self._lock:
+            if self._view is None:
+                self._view = RowView(self.maxsize)
+            return self._view
+
+    def walk(
+        self,
+        start: Database,
+        uniforms: np.ndarray,
+        tick: Callable[[int], None] | None = None,
+    ) -> tuple[list[Database], np.ndarray]:
+        """Walk ``len(uniforms)`` walkers from ``start`` in lockstep.
+
+        Walker ``i`` takes step ``t`` with the uniform ``uniforms[i, t]``
+        and lands where :meth:`sample` lands on a generator whose next
+        draw is that uniform.  Counters keep their per-step meaning:
+        every walker step is one hit or miss, as ``len(uniforms) *
+        steps`` calls of :meth:`sample` would count them when nothing is
+        evicted.  ``tick(n)`` is called after each step with the walker
+        count, and with 0 after each row computed.
+
+        Returns the distinct final states and, per walker, the index of
+        its final state among them.
+        """
+        walkers = len(uniforms)
+        view = self.view()
+        with view.lock:
+            ids = np.full(walkers, view.intern(start), dtype=np.int64)
+        for column in uniforms.T:
+            view, ids = self._step(view, ids, column, tick)
+            if tick is not None:
+                tick(walkers)
+        final, which = np.unique(ids, return_inverse=True)
+        return [view.states[index] for index in final.tolist()], which
+
+    def _step(
+        self,
+        view: RowView,
+        ids: np.ndarray,
+        uniforms: np.ndarray,
+        tick: Callable[[int], None] | None,
+    ) -> tuple[RowView, np.ndarray]:
+        """Advance every walker one step; returns the view and new ids."""
+
+        def row(state: Database) -> CachedRow:
+            found = self.row(state)
+            if tick is not None:
+                tick(0)
+            return found
+
+        todo = None  # walkers still to step: None for all of them
+        lookups = 0
+        while True:
+            current = ids if todo is None else ids[todo]
+            with view.lock:
+                added, complete = view.expand(current, row)
+                lookups += added
+                if complete:
+                    stepped = view.draw(
+                        current, uniforms if todo is None else uniforms[todo]
+                    )
+                    break
+                # The view is full: step the walkers it covers, then move
+                # every walker into a fresh view for the rest.
+                ready = view.start[current] >= 0
+                chosen = np.flatnonzero(ready) if todo is None else todo[ready]
+                ids[chosen] = view.draw(current[ready], uniforms[chosen])
+            todo = np.flatnonzero(~ready) if todo is None else todo[~ready]
+            view, ids = self._renewed(view, ids)
+        if todo is None:
+            ids = stepped
+        else:
+            ids[todo] = stepped
+        with self._lock:
+            self.hits += max(len(ids) - lookups, 0)
+        return view, ids
+
+    def _renewed(self, full: RowView, ids: np.ndarray) -> tuple[RowView, np.ndarray]:
+        """Replace a full view (unless another walk already has) and move
+        the walkers' states into the cache's current one."""
+        with self._lock:
+            if self._view is None or self._view is full:
+                self._view = RowView(self.maxsize)
+            view = self._view
+        states = full.states
+        with view.lock:
+            moved = [view.intern(states[index]) for index in ids.tolist()]
+        return view, np.array(moved, dtype=np.int64)
+
     def clear(self) -> None:
-        """Drop all rows (counters are kept — they describe the run)."""
+        """Drop all rows and the view (counters are kept — they describe
+        the run)."""
         with self._lock:
             self._rows.clear()
+            self._view = None
 
     def stats(self) -> dict:
         """JSON-friendly counter snapshot for :class:`RunReport`.

@@ -201,6 +201,9 @@ class WorkerContext(RunContext):
         tracer: Tracer | NullTracer | None = None,
     ):
         super().__init__(budget, tracer=tracer)
+        # Charges must reach check() even without limits: it is what
+        # polls the cancel event and bumps the heartbeat.
+        self._unbounded = False
         self._poll_countdown = self.POLL_EVERY
 
     def check(self) -> None:

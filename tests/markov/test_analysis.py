@@ -121,3 +121,29 @@ class TestRecurrenceAndErgodicity:
         assert summary["ergodic"]
         assert summary["states"] == 3
         assert summary["leaf_sccs"] == 1
+
+    def test_classify_condenses_once(self, monkeypatch):
+        import networkx as nx
+
+        calls = []
+        condensation = nx.condensation
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return condensation(*args, **kwargs)
+
+        monkeypatch.setattr(nx, "condensation", counted)
+        chain = chain_from_edges(
+            [("s", "a", 1), ("a", "b", 1), ("b", "a", 1), ("s", "c", 1),
+             ("c", "c", 1)]
+        )
+        assert classify(chain) == {
+            "states": 4,
+            "sccs": 3,
+            "leaf_sccs": 2,
+            "irreducible": False,
+            "aperiodic": False,
+            "positively_recurrent": False,
+            "ergodic": False,
+        }
+        assert len(calls) == 1

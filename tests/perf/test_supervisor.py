@@ -106,15 +106,23 @@ class TestDeterminism:
         result = run_walk(walk)
         assert result.samples == SAMPLES
 
-    def test_heartbeat_ages_exposed_per_worker(self, walk):
+    def test_heartbeat_ages_exposed_per_worker(self, walk, monkeypatch):
+        import math
+
         from repro.perf.supervisor import warm_pool_heartbeat_ages
 
         prewarm(WORKERS)
-        stats = warm_pool_stats()
-        ages = stats["heartbeat_ages"]
+        ages = warm_pool_stats()["heartbeat_ages"]
         assert set(ages) == {str(i) for i in range(WORKERS)}
-        assert all(age >= 0.0 for age in ages.values())
-        assert warm_pool_heartbeat_ages() == ages
+        assert all(math.isfinite(age) and age >= 0.0 for age in ages.values())
+        # The gauge reads one stats snapshot: two live reads would differ
+        # by whatever time passed between them.
+        snapshot = {"heartbeat_ages": {"0": 0.25, "1": 1.5}}
+        monkeypatch.setattr(supervisor_module, "warm_pool_stats", lambda: snapshot)
+        exposed = warm_pool_heartbeat_ages()
+        assert exposed == {"0": 0.25, "1": 1.5}
+        exposed["0"] = 9.0
+        assert snapshot["heartbeat_ages"]["0"] == 0.25
 
     def test_worker_spans_stitched_with_worker_ids(self, walk):
         from repro.obs import MemorySink, Tracer

@@ -155,6 +155,23 @@ class TestRoundTripDeterminism:
         assert steps_done == 7
 
 
+class TestFingerprint:
+    def test_plain_run_never_fingerprints(self, walk, monkeypatch):
+        """Only checkpoint writes and resume checks read the fingerprint."""
+        import repro.runtime.checkpoint as checkpoint_module
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("run_fingerprint called without checkpointing")
+
+        monkeypatch.setattr(checkpoint_module, "run_fingerprint", refuse)
+        query, db = walk
+        for cache_size in (None, 16):
+            evaluate_forever_mcmc(
+                query, db, burn_in=BURN_IN, samples=SAMPLES, rng=SEED,
+                cache_size=cache_size,
+            )
+
+
 class TestFormatValidation:
     def test_rejects_bad_json(self, tmp_path):
         path = tmp_path / "bad.ckpt"
