@@ -79,7 +79,11 @@ def build_state_chain(
     tracer = tracer_of(context)
     transitions: dict[Database, Distribution[Database]] = {}
     queue: deque[Database] = deque([initial])
-    discovered = {initial}
+    # Every discovered state, mapped to itself: the one object the chain
+    # uses for it, so rows key their successors by the chain's own
+    # states and later lookups match by identity, never by comparing
+    # whole databases.
+    discovered = {initial: initial}
     if context is not None:
         context.tick_states()
     while queue:
@@ -113,10 +117,11 @@ def build_state_chain(
                             "frontier_size": len(queue) + 1,
                         },
                     )
-                discovered.add(successor)
+                discovered[successor] = successor
                 queue.append(successor)
                 if context is not None:
                     context.tick_states()
+        transitions[state] = row.map(discovered.__getitem__)
     return MarkovChain(transitions)
 
 

@@ -3,6 +3,7 @@
 from repro.core.evaluation.exact_inflationary import (
     absorption_event_probability,
     evaluate_inflationary_exact,
+    fixpoint_masses,
 )
 from repro.core.evaluation.exact_noninflationary import evaluate_forever_exact
 from repro.core.evaluation.lumped import evaluate_forever_lumped
@@ -13,7 +14,12 @@ from repro.core.evaluation.passage import (
     forever_state_distribution,
     inflationary_fixpoint_distribution,
 )
-from repro.core.evaluation.results import ExactResult, SamplingResult
+from repro.core.evaluation.results import (
+    ExactResult,
+    ExactSolution,
+    SamplingResult,
+    SolutionStore,
+)
 from repro.core.evaluation.series import (
     event_occupancy_series,
     event_probability_series,
@@ -31,7 +37,9 @@ from repro.core.evaluation.sampling_noninflationary import (
 
 __all__ = [
     "ExactResult",
+    "ExactSolution",
     "SamplingResult",
+    "SolutionStore",
     "absorption_event_probability",
     "adaptive_burn_in",
     "computed_burn_in",
@@ -45,6 +53,7 @@ __all__ = [
     "event_hitting_time_distribution",
     "event_occupancy_series",
     "event_probability_series",
+    "fixpoint_masses",
     "forever_state_distribution",
     "inflationary_fixpoint_distribution",
     "query_pc_database",

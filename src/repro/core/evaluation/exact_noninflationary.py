@@ -6,15 +6,16 @@ reachable chain exactly, then:
 
 * if the chain is irreducible (hence, being finite, positively
   recurrent), computes the unique stationary distribution by exact
-  Gaussian elimination and sums the weights of the event states —
-  Proposition 5.4;
+  Gaussian elimination — Proposition 5.4;
 * otherwise computes the SCC condensation, the exact absorption
   probability of each leaf component, and the per-leaf stationary
   distribution — Theorem 5.5 (see :mod:`repro.markov.absorption` for
   the path-enumeration → linear-system substitution note).
 
-The returned probability is the paper's Definition 3.2 Cesàro limit
-exactly, periodic chains included.
+Both are :func:`~repro.markov.absorption.long_run_state_distribution`,
+which no event enters; the returned probability, the occupancy mass of
+the event states, is the paper's Definition 3.2 Cesàro limit exactly,
+periodic chains included.
 """
 
 from __future__ import annotations
@@ -22,9 +23,9 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from repro.core.chain_builder import DEFAULT_MAX_STATES, build_state_chain
-from repro.core.evaluation.results import ExactResult
+from repro.core.evaluation.results import ExactResult, ExactSolution, SolutionStore
 from repro.core.queries import ForeverQuery
-from repro.markov.absorption import long_run_event_probability
+from repro.markov.absorption import long_run_state_distribution
 from repro.markov.analysis import classify
 from repro.obs.trace import phase_scope, tracer_of
 from repro.relational.database import Database
@@ -41,6 +42,7 @@ def evaluate_forever_exact(
     context: "RunContext | None" = None,
     cache: "TransitionCache | None" = None,
     backend: str | None = None,
+    solutions: SolutionStore | None = None,
 ) -> ExactResult:
     """Exact result of a forever-query.
 
@@ -59,7 +61,10 @@ def evaluate_forever_exact(
     the same kernel) memoizes transition rows across chain builds, so a
     warm cache — e.g. the one a long-lived
     :class:`~repro.service.EngineSession` keeps — skips the algebra
-    evaluation for every remembered state.
+    evaluation for every remembered state.  ``solutions`` (a session's
+    :class:`~repro.core.evaluation.results.SolutionStore`) goes further:
+    the long-run distribution is solved once per kernel, and later
+    events are answered from it without building the chain.
 
     Examples
     --------
@@ -80,25 +85,32 @@ def evaluate_forever_exact(
     query, initial, effective_backend = resolve_backend(
         query, initial, backend, context=context, cache=cache
     )
-    with phase_scope(context, "chain-build") as scope:
-        chain = build_state_chain(
-            query.kernel, initial, max_states=max_states, context=context,
-            cache=cache,
-        )
-        scope.annotate(states=chain.size)
-    if context is not None:
-        context.check()
-    with phase_scope(context, "solve", states=chain.size):
-        probability = long_run_event_probability(
-            chain, initial, query.event.holds, tracer=tracer_of(context)
-        )
-        structure = classify(chain)
-    method = "prop-5.4" if structure["irreducible"] else "thm-5.5"
-    if effective_backend != "frozenset":
-        structure = {**structure, "backend": effective_backend}
-    return ExactResult(
-        probability=probability,
-        states_explored=chain.size,
-        method=method,
-        details=structure,
+    tracer = tracer_of(context)
+
+    def solve() -> tuple[ExactSolution, ExactResult]:
+        with phase_scope(context, "chain-build") as scope:
+            chain = build_state_chain(
+                query.kernel, initial, max_states=max_states, context=context,
+                cache=cache,
+            )
+            scope.annotate(states=chain.size)
+        if context is not None:
+            context.check()
+        with phase_scope(context, "solve", states=chain.size):
+            occupancy = long_run_state_distribution(chain, initial, tracer=tracer)
+            structure = classify(chain)
+            if effective_backend != "frozenset":
+                structure = {**structure, "backend": effective_backend}
+            solution = ExactSolution(
+                masses={state: mass for state, mass in occupancy.items() if mass},
+                states_explored=chain.size,
+                method="prop-5.4" if structure["irreducible"] else "thm-5.5",
+                details=structure,
+            )
+            return solution, solution.answer(query.event.holds)
+
+    if solutions is None:
+        return solve()[1]
+    return solutions.answer(
+        query.kernel, query.event.holds, max_states, context, solve
     )

@@ -23,6 +23,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from repro.core.chain_builder import DEFAULT_MAX_STATES, build_state_chain
+from repro.core.evaluation.exact_inflationary import inflationary_solution
 from repro.core.queries import ForeverQuery, InflationaryQuery
 from repro.markov.absorption import long_run_state_distribution
 from repro.markov.passage import (
@@ -30,7 +31,7 @@ from repro.markov.passage import (
     hitting_probability,
     hitting_time_distribution,
 )
-from repro.probability.distribution import Distribution, as_fraction
+from repro.probability.distribution import Distribution
 from repro.relational.database import Database
 
 
@@ -96,7 +97,9 @@ def inflationary_fixpoint_distribution(
     max_states: int = DEFAULT_MAX_STATES,
 ) -> Distribution[Database]:
     """The exact distribution over fixpoint databases of an inflationary
-    query (self-loops renormalised away, as in Proposition 4.4).
+    query (self-loops renormalised away, as in Proposition 4.4): the
+    solution :func:`~repro.core.evaluation.exact_inflationary.evaluate_inflationary_exact`
+    reads its answers off.
 
     pc-tables attached to the kernel are fixed once up front
     (Section 3.2): the returned distribution is the mixture over their
@@ -110,50 +113,6 @@ def inflationary_fixpoint_distribution(
     >>> sorted(float(p) for p in finals.as_floats().values())
     [0.5, 0.5]
     """
-    kernel = query.kernel
-    kernel.check_schema(initial)
-    fixed_kernel = kernel.without_pc_tables()
-
-    def fixpoints_from(world: Database) -> Distribution[Database]:
-        outcomes: dict[Database, Fraction] = {}
-        memo_guard: set[Database] = set()
-
-        def explore(state: Database, weight: Fraction) -> None:
-            row = fixed_kernel.transition(state)
-            self_probability = as_fraction(row.probability(state))
-            successors = [
-                (target, as_fraction(p)) for target, p in row.items() if target != state
-            ]
-            if not successors:
-                outcomes[state] = outcomes.get(state, Fraction(0)) + weight
-                return
-            if len(memo_guard) > max_states:
-                from repro.errors import StateSpaceLimitExceeded
-
-                raise StateSpaceLimitExceeded(
-                    f"fixpoint distribution exceeds max_states={max_states}"
-                )
-            memo_guard.add(state)
-            scale = 1 / (1 - self_probability)
-            for target, probability in successors:
-                query.check_step(state, target)
-                explore(target, weight * probability * scale)
-
-        explore(world, Fraction(1))
-        return Distribution(outcomes, normalise=False)
-
-    if kernel.pc_tables is None:
-        return fixpoints_from(initial)
-
-    pc = kernel.pc_tables
-    names = sorted(pc.tables)
-    variable_names = pc.variable_names()
-    mixture: dict[Database, Fraction] = {}
-    for values, weight in pc.valuation_distribution().items():
-        valuation = dict(zip(variable_names, values))
-        world = initial.with_relations(
-            {name: pc.tables[name].instantiate(valuation) for name in names}
-        )
-        for final, probability in fixpoints_from(world).items():
-            mixture[final] = mixture.get(final, Fraction(0)) + as_fraction(weight) * probability
-    return Distribution(mixture, normalise=False)
+    query.kernel.check_schema(initial)
+    solution = inflationary_solution(query, initial, max_states=max_states)
+    return Distribution(solution.masses, normalise=False)

@@ -19,7 +19,7 @@ uses for Theorem 4.3 — and the engine's :meth:`is_fixpoint` check is
 the cheap syntactic one: *all* ``newVals`` empty.
 
 The engine exposes exact evaluation (through the generic Proposition
-4.4 traversal), the Theorem 4.3 sampler, and evaluation over pc-tables
+4.4 fixpoint pass), the Theorem 4.3 sampler, and evaluation over pc-tables
 (valuation chosen once, Section 3.2/3.3).
 """
 
@@ -29,9 +29,15 @@ from fractions import Fraction
 
 from repro.core.evaluation.exact_inflationary import (
     DEFAULT_MAX_STATES,
-    absorption_event_probability,
+    fixpoint_masses,
+    mix_worlds,
 )
-from repro.core.evaluation.results import ExactResult, SamplingResult
+from repro.core.evaluation.results import (
+    ExactResult,
+    ExactSolution,
+    SamplingResult,
+    SolutionStore,
+)
 from repro.core.evaluation.sampling_inflationary import (
     DEFAULT_MAX_STEPS,
     sample_fixpoint,
@@ -49,7 +55,7 @@ from repro.datalog.compiler import (
 from repro.errors import DatalogError
 from repro.obs.trace import phase_scope, tracer_of
 from repro.probability.chernoff import hoeffding_sample_count, paper_sample_count
-from repro.probability.distribution import Distribution, as_fraction, product_distribution
+from repro.probability.distribution import Distribution, product_distribution
 from repro.probability.rng import RngLike, make_rng
 from repro.relational.algebra import Expression, evaluate
 from repro.relational.database import Database
@@ -203,29 +209,30 @@ class InflationaryDatalogEngine:
 
     # -- whole-query evaluation ---------------------------------------------------------
 
+    def fixpoint_masses(
+        self,
+        max_states: int = DEFAULT_MAX_STATES,
+        context: "RunContext | None" = None,
+    ) -> tuple[dict[Database, Fraction], int]:
+        """The exact distribution over final databases (bookkeeping
+        stripped) as ``(masses, machine states expanded)``: the Prop 4.4
+        fixpoint pass over this machine."""
+        finals, states = fixpoint_masses(
+            self.transition, self.initial_state(), max_states, context=context
+        )
+        masses: dict[Database, Fraction] = {}
+        for state, mass in finals.items():
+            final = self.database_of(state)
+            masses[final] = masses.get(final, 0) + mass
+        return masses, states
+
     def fixpoint_distribution(
         self, max_states: int = DEFAULT_MAX_STATES
     ) -> Distribution[Database]:
         """The exact distribution over final databases (fixpoints reached
         with self-loops renormalised away), bookkeeping stripped."""
-        outcomes: dict[Database, Fraction] = {}
-
-        def explore(state: Database, weight: Fraction) -> None:
-            row = self.transition(state)
-            self_p = as_fraction(row.probability(state))
-            successors = [(t, as_fraction(p)) for t, p in row.items() if t != state]
-            if not successors:
-                final = self.database_of(state)
-                outcomes[final] = outcomes.get(final, Fraction(0)) + weight
-                return
-            scale = 1 / (1 - self_p)
-            for target, probability in successors:
-                explore(target, weight * probability * scale)
-
-        explore(self.initial_state(), Fraction(1))
-        if len(outcomes) > max_states:
-            raise DatalogError("fixpoint distribution exceeded max_states")
-        return Distribution(outcomes, normalise=False)
+        masses, _states = self.fixpoint_masses(max_states)
+        return Distribution(masses, normalise=False)
 
 
 def evaluate_datalog_exact(
@@ -235,51 +242,49 @@ def evaluate_datalog_exact(
     pc_tables: PCDatabase | None = None,
     max_states: int = DEFAULT_MAX_STATES,
     context: "RunContext | None" = None,
+    solutions: SolutionStore | None = None,
 ) -> ExactResult:
     """Exact inflationary-datalog evaluation (Prop 4.4 over the
-    Section 3.3 machine).
+    Section 3.3 machine): the mass of the final-database distribution
+    on the databases where ``event`` holds.
 
     With ``pc_tables``, the probabilistic choice of c-table tuples is
     made once per possible valuation, before iteration (Section 3.3's
     "these rules are fired only once"): the evaluator enumerates the
-    valuations and weights each world's result.
+    valuations and mixes the worlds' distributions.  With
+    ``solutions`` (a session's
+    :class:`~repro.core.evaluation.results.SolutionStore`) the
+    distribution is computed once per program and later events are
+    answered from it.
     """
-    def world_result(world_edb: Database) -> tuple[Fraction, int]:
+    def world_masses(world_edb: Database) -> tuple[dict, int]:
         engine = InflationaryDatalogEngine(program, world_edb)
-        return absorption_event_probability(
-            engine.transition,
-            lambda state: event.holds(engine.database_of(state)),
-            engine.initial_state(),
-            max_states=max_states,
-            context=context,
-        )
+        return engine.fixpoint_masses(max_states, context)
 
-    tracer = tracer_of(context)
-    if pc_tables is None:
+    def solve() -> tuple[ExactSolution, ExactResult]:
         with phase_scope(context, "solve") as scope:
-            probability, states = world_result(edb)
-            scope.annotate(states=states)
-        return ExactResult(probability, states, "datalog-exact", {"pc_worlds": 1})
-
-    total = Fraction(0)
-    total_states = 0
-    worlds = 0
-    with phase_scope(context, "solve") as scope:
-        for world, weight in pc_tables.possible_worlds().items():
-            if context is not None:
-                context.check()
-            merged = edb.with_relations(world.relations())
-            probability, states = world_result(merged)
-            total += as_fraction(weight) * probability
-            total_states += states
-            worlds += 1
-            if tracer.enabled:
-                tracer.event(
-                    "pc-world", world=worlds, states=states,
-                    weight=float(weight),
+            if pc_tables is None:
+                masses, states = world_masses(edb)
+                worlds = 1
+            else:
+                masses, states, worlds = mix_worlds(
+                    (
+                        (edb.with_relations(world.relations()), weight)
+                        for world, weight in pc_tables.possible_worlds().items()
+                    ),
+                    world_masses,
+                    context,
                 )
-        scope.annotate(pc_worlds=worlds, states=total_states)
-    return ExactResult(total, total_states, "datalog-exact", {"pc_worlds": worlds})
+                scope.annotate(pc_worlds=worlds)
+            scope.annotate(states=states)
+            solution = ExactSolution(
+                masses, states, "datalog-exact", {"pc_worlds": worlds}
+            )
+            return solution, solution.answer(event.holds)
+
+    if solutions is None:
+        return solve()[1]
+    return solutions.answer(program, event.holds, max_states, context, solve)
 
 
 def evaluate_datalog_sampling(

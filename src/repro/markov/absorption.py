@@ -8,14 +8,20 @@ condensation.  Theorem 5.5 evaluates a non-inflationary query by
 
 The paper sketches step (1) as a (potentially doubly-exponential)
 enumeration of DAG paths; we compute the same quantity exactly with the
-standard absorbing-chain linear system
+standard absorbing-chain linear system, solved over rationals for the
+start row of the fundamental matrix,
 
-    h_i(L) = Σ_j P_ij · h_j(L)   for transient i,   h_i(L) = [i ∈ L] on leaves,
+    Σ_i x_i (I − Q)_ij = [j = start]   for transient j,
+    Pr[absorbed into L] = Σ_i x_i · P(i → L),
 
-solved over rationals with one right-hand column per leaf.  This is a
-faithful substitution: it computes exactly the probability mass the
-path enumeration sums, in polynomial time in the (already exponential)
+one right-hand side whatever the number of leaves.  This is a faithful
+substitution: it computes exactly the probability mass the path
+enumeration sums, in polynomial time in the (already exponential)
 chain size.  See DESIGN.md §2 "Substitutions".
+
+:func:`long_run_state_distribution` combines (1) and (2) into the
+long-run occupancy of every state; it is the one long-run solve, and an
+event's answer is the occupancy mass of the states where it holds.
 """
 
 from __future__ import annotations
@@ -34,13 +40,18 @@ S = TypeVar("S", bound=Hashable)
 
 
 def absorption_probabilities(
-    chain: MarkovChain[S], start: S
+    chain: MarkovChain[S], start: S, tracer: Any = None
 ) -> dict[frozenset[S], Fraction]:
     """Exact probability of eventual absorption into each leaf SCC,
     starting from ``start``.
 
-    The probabilities sum to one (absorption is almost sure on finite
-    chains).
+    One transposed system gives every leaf at once: the start row ``x``
+    of the fundamental matrix ``N = (I − Q)⁻¹`` solves
+    ``(I − Q)ᵀ x = e_start`` (``x_i`` is the expected number of visits
+    to transient state ``i``), and the walk enters leaf ``L`` with
+    probability ``Σ_i x_i · P(i → L)``.  The probabilities sum to one
+    (absorption is almost sure on finite chains).  ``tracer`` forwards
+    to :func:`~repro.markov.linalg.solve_exact`.
     """
     leaves = leaf_components(chain)
     leaf_of: dict[S, int] = {}
@@ -57,33 +68,58 @@ def absorption_probabilities(
     transient = [state for state in chain.states if state not in leaf_of]
     t_index = {state: i for i, state in enumerate(transient)}
     n = len(transient)
-    k = len(leaves)
 
-    # (I − Q) h = B, where Q is the transient-to-transient block and
-    # B[i][l] is the one-step probability of jumping from transient i
-    # into leaf l.
+    # (I − Q)ᵀ x = e_start, where Q is the transient-to-transient block;
+    # the one-step exits from transient i into leaf l are kept aside.
     system = [[Fraction(0)] * n for _ in range(n)]
-    rhs = [[Fraction(0)] * k for _ in range(n)]
+    for i in range(n):
+        system[i][i] = Fraction(1)
+    exits: list[tuple[int, int, Fraction]] = []
     for state in transient:
         i = t_index[state]
-        system[i][i] = Fraction(1)
         for successor, weight in chain.successors(state).items():
             p = as_fraction(weight)
-            if successor in t_index:
-                system[i][t_index[successor]] -= p
+            j = t_index.get(successor)
+            if j is not None:
+                system[j][i] -= p
             else:
-                rhs[i][leaf_of[successor]] += p
-
-    solution = solve_exact(system, rhs)
-    start_row = solution[t_index[start]]
-    result = {leaf: start_row[index] for index, leaf in enumerate(leaves)}
-    total = sum(result.values())
+                exits.append((i, leaf_of[successor], p))
+    rhs = [[Fraction(0)] for _ in range(n)]
+    rhs[t_index[start]][0] = Fraction(1)
+    visits = solve_exact(system, rhs, tracer=tracer)
+    reach = [Fraction(0)] * len(leaves)
+    for i, leaf_index, p in exits:
+        reach[leaf_index] += visits[i][0] * p
+    total = sum(reach)
     if total != 1:
         raise MarkovChainError(
             f"absorption probabilities sum to {total}, expected 1 — "
             "the chain is not closed"
         )
-    return result
+    return dict(zip(leaves, reach))
+
+
+def long_run_state_distribution(
+    chain: MarkovChain[S], start: S, tracer: Any = None
+) -> dict[S, Fraction]:
+    """Long-run occupancy Pr(s) per state (Definition 3.2), exactly.
+
+    The one long-run solve of Proposition 5.4 and Theorem 5.5.
+    Transient states get probability zero; a state of leaf ``L`` gets
+    ``Pr[absorbed into L] · π_L(s)``, where π_L is the stationary (=
+    Cesàro) distribution of the sub-chain restricted to the leaf.  The
+    values sum to one, and no event enters the solve: an event's
+    long-run probability is the mass of the states where it holds.
+    ``tracer`` forwards to the exact solves (per-pivot events).
+    """
+    occupancy: dict[S, Fraction] = {state: Fraction(0) for state in chain.states}
+    for leaf, reach in absorption_probabilities(chain, start, tracer).items():
+        if reach == 0:
+            continue
+        pi = stationary_distribution(chain.restricted_to(leaf), tracer=tracer)
+        for state, weight in pi.items():
+            occupancy[state] = reach * as_fraction(weight)
+    return occupancy
 
 
 def long_run_event_probability(
@@ -94,70 +130,17 @@ def long_run_event_probability(
 ) -> Fraction:
     """The paper's Definition 3.2 query result, exactly (Theorem 5.5).
 
-    ``Pr(event) = Σ_leaf Pr[absorbed into leaf] · Σ_{s ∈ leaf, event(s)} π_leaf(s)``
-
-    where π_leaf is the stationary (= Cesàro) distribution of the
-    sub-chain restricted to the leaf.  Transient states contribute
-    nothing: they are visited only finitely often, so their share of the
-    time-average in Definition 3.2 vanishes in the limit.
-
-    Implementation note: rather than solving one absorption system per
-    leaf, the per-leaf event masses are folded into the boundary values
-    of a *single* system — f(i) = Σ_j P(i,j) f(j) on transient states
-    with f ≡ (leaf's event mass) on each leaf — which computes the same
-    sum with one right-hand side.
+    ``Pr(event) = Σ_leaf Pr[absorbed into leaf] · Σ_{s ∈ leaf, event(s)} π_leaf(s)``:
+    the mass :func:`long_run_state_distribution` puts on the states
+    where the event holds.  Transient states contribute nothing: they
+    are visited only finitely often, so their share of the time-average
+    in Definition 3.2 vanishes in the limit.
     """
-    leaves = leaf_components(chain)
-    # Event mass of each leaf under its stationary distribution.
-    leaf_value: dict[S, Fraction] = {}
-    for leaf in leaves:
-        sub_chain = chain.restricted_to(leaf)
-        pi = stationary_distribution(sub_chain, tracer=tracer)
-        mass = sum(
-            (as_fraction(weight) for state, weight in pi.items() if event(state)),
-            Fraction(0),
-        )
-        for state in leaf:
-            leaf_value[state] = mass
-
-    if start in leaf_value:
-        return leaf_value[start]
-
-    transient = [state for state in chain.states if state not in leaf_value]
-    t_index = {state: i for i, state in enumerate(transient)}
-    n = len(transient)
-    system = [[Fraction(0)] * n for _ in range(n)]
-    rhs = [[Fraction(0)] for _ in range(n)]
-    for state in transient:
-        i = t_index[state]
-        system[i][i] = Fraction(1)
-        for successor, weight in chain.successors(state).items():
-            p = as_fraction(weight)
-            if successor in t_index:
-                system[i][t_index[successor]] -= p
-            else:
-                rhs[i][0] += p * leaf_value[successor]
-    solution = solve_exact(system, rhs, tracer=tracer)
-    return solution[t_index[start]][0]
-
-
-def long_run_state_distribution(
-    chain: MarkovChain[S], start: S
-) -> dict[S, Fraction]:
-    """Long-run occupancy Pr(s) per state (Definition 3.2), exactly.
-
-    Transient states get probability zero; recurrent states get
-    ``Pr[absorb leaf] · π_leaf(s)``.  The values sum to one.
-    """
-    occupancy: dict[S, Fraction] = {state: Fraction(0) for state in chain.states}
-    for leaf, reach in absorption_probabilities(chain, start).items():
-        if reach == 0:
-            continue
-        sub_chain = chain.restricted_to(leaf)
-        pi = stationary_distribution(sub_chain)
-        for state, weight in pi.items():
-            occupancy[state] = reach * as_fraction(weight)
-    return occupancy
+    occupancy = long_run_state_distribution(chain, start, tracer=tracer)
+    return sum(
+        (mass for state, mass in occupancy.items() if mass and event(state)),
+        Fraction(0),
+    )
 
 
 def expected_absorption_time(chain: MarkovChain[S], start: S) -> Fraction:

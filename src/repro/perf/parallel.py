@@ -236,6 +236,7 @@ def _run_mcmc_trials(task: dict) -> dict:
         if backend == "columnar"
         else _warm_cache(task["query"].kernel, task["cache_size"])
     )
+    before = cache.stats() if cache is not None else None
     result = evaluate_forever_mcmc(
         task["query"],
         task["initial"],
@@ -251,7 +252,7 @@ def _run_mcmc_trials(task: dict) -> dict:
         "positive": result.positive,
         "samples": result.samples,
         "steps": context.steps_used,
-        "cache": result.details.get("cache"),
+        "cache": _task_lookups(result.details.get("cache"), before),
     }
     return _attach_worker_observability(payload, context)
 
@@ -268,6 +269,7 @@ def _run_inflationary_trials(task: dict) -> dict:
         if backend == "columnar"
         else _warm_cache(task["query"].kernel, task["cache_size"])
     )
+    before = cache.stats() if cache is not None else None
     result = evaluate_inflationary_sampling(
         task["query"],
         task["initial"],
@@ -285,9 +287,23 @@ def _run_inflationary_trials(task: dict) -> dict:
         "samples": result.samples,
         "steps": context.steps_used,
         "total_steps": result.details["mean_steps_per_sample"] * result.samples,
-        "cache": result.details.get("cache"),
+        "cache": _task_lookups(result.details.get("cache"), before),
     }
     return _attach_worker_observability(payload, context)
+
+
+def _task_lookups(stats: dict | None, before: dict | None) -> dict | None:
+    """A warm cache's counters as one task's own: ``hits``, ``misses``
+    and ``evictions`` since ``before`` (the persistent cache's counters
+    when the task began); ``size`` and ``maxsize`` as they stand."""
+    if stats is None or before is None:
+        return stats
+    own = dict(stats)
+    for key in ("hits", "misses", "evictions"):
+        own[key] = stats[key] - before[key]
+    lookups = own["hits"] + own["misses"]
+    own["hit_rate"] = own["hits"] / lookups if lookups else None
+    return own
 
 
 def _attach_worker_observability(payload: dict, context: RunContext) -> dict:

@@ -307,6 +307,7 @@ class WorkerSupervisor:
     ) -> list[dict]:
         if self.closed:
             raise WorkerPoolError("worker supervisor is closed")
+        self._settle_stale_chunks()
         self._cancel.clear()
         self._drain_stale_results()
         self._ensure_workers()
@@ -456,6 +457,41 @@ class WorkerSupervisor:
             if handle.worker_id == worker_id and handle.busy_task == task_id:
                 return handle
         return None
+
+    def _settle_stale_chunks(self) -> None:
+        """Wait until no worker is still busy with a stopped run's chunk.
+
+        A run that raised set the cancel event and left its chunks in
+        flight.  Clearing the event before a busy worker polled it would
+        leave that worker computing the stale chunk (possibly minutes of
+        work) while the next run's chunk waits in its inbox.  So the event
+        stays set until every busy live worker has answered; a worker
+        still silent after ``heartbeat_timeout`` is restarted.
+        """
+        deadline = time.time() + self.config.heartbeat_timeout
+        while any(
+            handle.busy_task is not None and handle.process.is_alive()
+            for handle in self._workers
+        ):
+            if time.time() > deadline:
+                for index, handle in enumerate(self._workers):
+                    if handle.busy_task is not None:
+                        handle.stop(grace=0.1)
+                        self.restarts_total += 1
+                        self._spawn_generation += 1
+                        self._workers[index] = self._spawn(
+                            handle.worker_id, self._spawn_generation
+                        )
+                return
+            try:
+                _kind, worker_id, task_id, _payload = self._results.get(
+                    timeout=_POLL_INTERVAL
+                )
+            except queue.Empty:
+                continue
+            handle = self._handle_of(worker_id, task_id)
+            if handle is not None:
+                handle.busy_task = None
 
     def _drain_stale_results(self) -> None:
         while True:

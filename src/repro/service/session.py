@@ -3,11 +3,14 @@
 A one-shot CLI run pays the full bill on every invocation: parse the
 program, decode the database, build the chain or walk it cold.  An
 :class:`EngineSession` is the long-lived alternative — the parsed
-kernel (or datalog program), the decoded initial :class:`Database`, and
-one warm :class:`~repro.perf.cache.TransitionCache` live as long as the
-session does, so repeated queries against the same program (different
-events, seeds, ε/δ, modes) skip everything but the actual evaluation,
-and even that draws memoized transition rows.
+kernel (or datalog program), the decoded initial :class:`Database`, one
+warm :class:`~repro.perf.cache.TransitionCache` and the exact rung's
+solutions (a :class:`~repro.core.evaluation.results.SolutionStore`)
+live as long as the session does, so repeated queries against the same
+program (different events, seeds, ε/δ, modes) skip everything but the
+actual evaluation: samplers draw memoized transition rows, and an exact
+event is read off the long-run or fixpoint distribution the session
+solved for its first exact request.
 
 :meth:`EngineSession.evaluate` is also the one place that turns a
 :class:`~repro.service.request.QueryRequest` into an evaluator call and
@@ -18,10 +21,11 @@ evaluate the same request on a session from
 :meth:`EngineSession.from_request` (no analysis, no cache unless the
 request's ``cache_size`` param asks for one), so both answer alike.
 
-Sessions are immutable after preparation apart from the cache and the
-served-request counters, and the cache is thread-safe, so one session
-may serve concurrent scheduler workers.  A :class:`SessionPool` bounds
-how many prepared programs stay resident (LRU beyond ``maxsize``).
+Sessions are immutable after preparation apart from the cache, the
+stored solutions and the served-request counters, all thread-safe, so
+one session may serve concurrent scheduler workers.  A
+:class:`SessionPool` bounds how many prepared programs stay resident
+(LRU beyond ``maxsize``).
 """
 
 from __future__ import annotations
@@ -44,6 +48,7 @@ from repro.core import (
     evaluate_inflationary_exact,
     evaluate_inflationary_sampling,
 )
+from repro.core.evaluation.results import SolutionStore
 from repro.core.events import parse_event
 from repro.datalog import evaluate_datalog_exact, evaluate_datalog_sampling, parse_program
 from repro.errors import InvalidRequestError, ProgramRejectedError, ReproError
@@ -192,7 +197,8 @@ def _rejection(report: DiagnosticReport) -> ProgramRejectedError:
 
 
 class EngineSession:
-    """A prepared program: parsed artifacts plus a warm transition cache.
+    """A prepared program: parsed artifacts, a warm transition cache and
+    the exact rung's stored solutions.
 
     Build one with :meth:`prepare` (admission analysis, for the service)
     or :meth:`from_request` (parsing only, for the CLI); evaluate any
@@ -259,6 +265,10 @@ class EngineSession:
                 # kernel; memoize that one (see evaluate_inflationary_sampling).
                 memo_kernel = kernel.without_pc_tables()
             self._cache = TransitionCache(memo_kernel, maxsize=cache_size)
+        # The default exact rung's solution, one per kernel (frozenset,
+        # compiled or datalog program), kept while its support fits in
+        # cache_size states.
+        self._solutions = SolutionStore(cache_size) if cache_size else None
 
     @classmethod
     def prepare(
@@ -325,6 +335,12 @@ class EngineSession:
         """The session's warm transition cache (``None`` for datalog and
         for a session built without one)."""
         return self._cache
+
+    @property
+    def solutions(self) -> SolutionStore | None:
+        """The exact rung's stored solutions (``None`` for a session
+        built without a cache)."""
+        return self._solutions
 
     @property
     def hints(self) -> PlanHints:
@@ -629,14 +645,18 @@ class EngineSession:
                     backend_param = "columnar"
                     precompiled = True
 
+        solutions = None if opted_out else self._solutions
+
         def exact():
             if forever:
                 return evaluate_forever_exact(
                     query, initial, max_states=max_states,
                     context=context, cache=cache, backend=backend_param,
+                    solutions=solutions,
                 )
             return evaluate_inflationary_exact(
-                query, initial, max_states=max_states, context=context
+                query, initial, max_states=max_states, context=context,
+                solutions=solutions,
             )
 
         if ladder:
@@ -728,6 +748,7 @@ class EngineSession:
             pc_tables=self.pc_tables,
             max_states=_param(params, "max_states", 100_000),
             context=context,
+            solutions=self._solutions,
         )
         payload = result_payload(result)
         payload["pc_worlds"] = result.details.get("pc_worlds", 1)

@@ -59,3 +59,33 @@ class TestBuildStateChain:
         chain = build_state_chain(identity, walk_db)
         assert chain.size == 1
         assert chain.probability(walk_db, walk_db) == 1
+
+
+def test_rows_hold_the_chains_own_states(monkeypatch):
+    """Successors are the chain's own state objects, so the structural
+    analysis and the long-run solve find states by identity."""
+    from repro.markov import classify, long_run_state_distribution
+    from repro.workloads import complete_graph, random_walk_query
+
+    query, db = random_walk_query(complete_graph(16), "n0", "n1")
+    chain = build_state_chain(query.kernel, db)
+    assert chain.states[0] is db
+    own = {id(state) for state in chain.states}
+    for state in chain.states:
+        row = chain.successors(state)
+        assert all(id(successor) in own for successor in row)
+        # Same outcomes in the same order as the kernel's own row.
+        assert list(row.items()) == list(query.kernel.transition(state).items())
+    calls = 0
+    compare = Database.__eq__
+
+    def counted(self, other):
+        nonlocal calls
+        calls += 1
+        return compare(self, other)
+
+    monkeypatch.setattr(Database, "__eq__", counted)
+    classify(chain)
+    occupancy = long_run_state_distribution(chain, db)
+    assert calls == 0
+    assert sum(occupancy.values()) == 1

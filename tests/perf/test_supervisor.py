@@ -234,3 +234,33 @@ class TestFaultRecovery:
         ))
         with pytest.raises(WorkerPoolError, match="restart budget"):
             run_walk(walk)
+
+
+class TestCancelledRuns:
+    def test_a_cancelled_run_leaves_no_chunk_computing(self, walk):
+        """The next run does not wait behind the cancelled run's chunks
+        (minutes of uncached steps here): the cancel event stays set
+        until every busy worker has answered."""
+        import threading
+        import time
+
+        from repro.errors import RunCancelledError
+
+        query, db = walk
+        run_walk(walk)  # a warm pool
+        restarts = warm_pool_stats()["restarts"]
+        context = RunContext()
+        timer = threading.Timer(0.2, context.cancel)
+        timer.start()
+        try:
+            with pytest.raises(RunCancelledError):
+                evaluate_forever_mcmc(
+                    query, db, samples=100_000, burn_in=50, rng=SEED,
+                    parallel=ParallelConfig(workers=WORKERS), context=context,
+                )
+        finally:
+            timer.cancel()
+        started = time.monotonic()
+        assert run_walk(walk).samples == SAMPLES
+        assert time.monotonic() - started < 20.0
+        assert warm_pool_stats()["restarts"] == restarts

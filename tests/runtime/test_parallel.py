@@ -184,3 +184,32 @@ class TestBudgetsAndCancellation:
                 )
         finally:
             timer.cancel()
+
+
+class TestWarmCacheCounters:
+    """Supervised workers keep warm caches across runs; each run reports
+    the lookups it made itself, not the caches' lifetime totals."""
+
+    def test_each_mcmc_run_reports_its_own_lookups(self, walk):
+        query, db = walk
+        for _ in range(3):
+            result = evaluate_forever_mcmc(
+                query, db, samples=301, burn_in=9, rng=11, cache_size=64,
+                parallel=ParallelConfig(workers=2),
+            )
+            cache = result.details["cache"]
+            assert cache["hits"] + cache["misses"] == 301 * 9
+            assert cache["maxsize"] == 2 * 64
+
+    def test_repeated_inflationary_runs_report_equal_lookups(self, inflationary):
+        query, db = inflationary
+        lookups = []
+        for _ in range(3):
+            result = evaluate_inflationary_sampling(
+                query, db, samples=40, rng=3, cache_size=64,
+                parallel=ParallelConfig(workers=2),
+            )
+            cache = result.details["cache"]
+            lookups.append(cache["hits"] + cache["misses"])
+        assert lookups[0] > 0
+        assert lookups == [lookups[0]] * 3

@@ -42,8 +42,11 @@ class TestEngineSession:
         session.evaluate(walk_request)
         misses_after_first = session.cache.misses
         assert misses_after_first > 0
-        # a different event on the same session walks memoized rows
-        other = make_request(event="C(a)")
+        # a sampled request on the same session walks memoized rows (an
+        # exact event reads the stored solution instead: test_solution_reuse)
+        other = make_request(
+            event="C(a)", params={"mcmc": True, "samples": 50, "seed": 5, "burn_in": 4}
+        )
         session.evaluate(other)
         assert session.cache.hits > 0
         assert session.cache.misses == misses_after_first
