@@ -277,7 +277,7 @@ def bench_thm56(h: Harness, cores: int) -> None:
 
 def bench_kernel(h: Harness) -> None:
     print("columnar kernel vs frozenset interpreter — Thm 5.6 family")
-    from repro.kernel import compile_query, extern_database
+    from repro.kernel import compile_query, extern_database, lower
     from repro.workloads import complete_graph, grid_graph
 
     family = [
@@ -292,9 +292,10 @@ def bench_kernel(h: Harness) -> None:
     for name, (query, db) in family:
         froz_s, froz = timed(lambda: evaluate_forever_mcmc(
             query, db, samples=samples, burn_in=burn_in, rng=SEED), h.rounds)
+        # Lowering is timed too, as the columnar rows always have been.
         col_s, col = timed(lambda: evaluate_forever_mcmc(
-            query, db, samples=samples, burn_in=burn_in, rng=SEED,
-            backend="columnar"), h.rounds)
+            *lower(query, db), samples=samples, burn_in=burn_in, rng=SEED),
+            h.rounds)
         froz_sum = checksum({"positive": froz.positive, "samples": froz.samples})
         col_sum = checksum({"positive": col.positive, "samples": col.samples})
         h.record(f"kernel_frozenset_{name}", froz_s, froz_sum,
@@ -322,8 +323,7 @@ def bench_kernel(h: Harness) -> None:
     compiled = compile_query(query, db)
     compiled.kernel.timings.reset()
     evaluate_forever_mcmc(compiled.query, compiled.initial,
-                          samples=samples, burn_in=burn_in, rng=SEED,
-                          backend="columnar")
+                          samples=samples, burn_in=burn_in, rng=SEED)
     per_op = {
         op: {"calls": entry["calls"], "seconds": round(entry["seconds"], 6)}
         for op, entry in compiled.kernel.op_timings().items()
@@ -342,13 +342,13 @@ def bench_kernel(h: Harness) -> None:
 _DETERMINISM_SCRIPT = r"""
 import json, random
 from repro.core import evaluate_forever_mcmc
+from repro.kernel import lower
 from repro.workloads import cycle_graph, random_walk_query
 query, db = random_walk_query(cycle_graph(6), "n0", "n3")
 out = {}
-for backend in (None, "columnar"):
-    result = evaluate_forever_mcmc(
-        query, db, samples=80, burn_in=4, rng=7, backend=backend)
-    out[str(backend)] = [str(result.estimate), result.positive]
+for backend, pair in (("None", (query, db)), ("columnar", lower(query, db))):
+    result = evaluate_forever_mcmc(*pair, samples=80, burn_in=4, rng=7)
+    out[backend] = [str(result.estimate), result.positive]
 rng = random.Random(13)
 state = db
 out["trace"] = [query.event.holds(
@@ -557,8 +557,8 @@ def _ruin_probability(n: int, k: int, down: Fraction) -> Fraction:
 
 def bench_sparse(h: Harness) -> None:
     print("sparse certified solver — CSR assembly + (eps, delta) certificates")
-    from repro.core.evaluation.backend import resolve_backend
     from repro.errors import SolveRefusedError
+    from repro.kernel import lower
     from repro.markov.absorption import long_run_event_probability
     from repro.sparse import (
         SparseChain,
@@ -648,9 +648,8 @@ def bench_sparse(h: Harness) -> None:
     # falling back to LU.  The row times the solve alone; the one
     # streaming pass that built the chain is ``assemble_s``.
     n_cycle = 600 if h.quick else 1_000
-    cycle_query, cycle_db, _ = resolve_backend(
-        *random_walk_query(cycle_graph(n_cycle), "n0", f"n{n_cycle // 2}"),
-        "columnar")
+    cycle_query, cycle_db = lower(
+        *random_walk_query(cycle_graph(n_cycle), "n0", f"n{n_cycle // 2}"))
     assemble_s, cycle_chain = timed(lambda: assemble_sparse_chain(
         cycle_query.kernel, cycle_db, event=cycle_query.event.holds), 1)
     cycle_s, (cycle_value, cycle_cert, _) = timed(

@@ -268,16 +268,12 @@ def _command_chain(args: argparse.Namespace, context: RunContext) -> dict:
         with open(args.kernel, encoding="utf-8") as handle:
             kernel = parse_interpretation(handle.read())
         db = load_database(args.db)
-    effective_backend = "frozenset"
-    if getattr(args, "backend", None) == "columnar":
-        from repro.core.evaluation.backend import record_fallback
-        from repro.kernel import KernelCompileError, compile_kernel
+    columnar = False
+    if args.backend == "columnar":
+        from repro.kernel import lower_kernel
 
-        try:
-            kernel, db = compile_kernel(kernel, db)
-            effective_backend = "columnar"
-        except KernelCompileError as error:
-            record_fallback(str(error), context)
+        compiled, db = lower_kernel(kernel, db, context)
+        columnar, kernel = compiled is not kernel, compiled
     with context.phase("chain-build") as scope:
         chain = build_state_chain(
             kernel, db, max_states=args.max_states, context=context
@@ -292,8 +288,8 @@ def _command_chain(args: argparse.Namespace, context: RunContext) -> dict:
             summary["mixing_time_0.05"] = mixing_time(
                 chain, epsilon=0.05, context=context
             )
-    if effective_backend != "frozenset":
-        summary["backend"] = effective_backend
+    if columnar:
+        summary["backend"] = "columnar"
     return summary
 
 

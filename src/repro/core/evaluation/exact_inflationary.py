@@ -175,11 +175,11 @@ def mix_worlds(
     the result is the weighted mixture of the fixpoint distributions of
     its possible worlds.  ``worlds`` yields ``(world, weight)`` pairs
     and ``world_masses(world)`` returns ``(masses, states)``.  Returns
-    ``(masses, states_explored, world_count)``.
+    ``(masses, states_explored, world_count, largest_world_states)``.
     """
     tracer = tracer_of(context)
     mixture: dict = {}
-    total_states = 0
+    total_states = largest = 0
     count = 0
     for world, weight in worlds:
         if context is not None:
@@ -189,12 +189,13 @@ def mix_worlds(
         for state, mass in masses.items():
             mixture[state] = mixture.get(state, 0) + weight * mass
         total_states += states
+        largest = max(largest, states)
         count += 1
         if tracer.enabled:
             tracer.event(
                 "pc-world", world=count, states=states, weight=float(weight),
             )
-    return mixture, total_states, count
+    return mixture, total_states, count, largest
 
 
 def inflationary_solution(
@@ -219,8 +220,13 @@ def inflationary_solution(
 
     pc = kernel.pc_tables
     if pc is None:
+        from repro.kernel.lowering import lowered
+
         masses, states = world_masses(initial)
-        return ExactSolution(masses, states, "prop-4.4", {"pc_worlds": 1})
+        details: dict = {"pc_worlds": 1}
+        if lowered(query):
+            details["backend"] = "columnar"
+        return ExactSolution(masses, states, "prop-4.4", details)
     names = sorted(pc.tables)
     variable_names = pc.variable_names()
 
@@ -234,8 +240,10 @@ def inflationary_solution(
         (world(values), weight)
         for values, weight in pc.valuation_distribution().items()
     )
-    masses, states, count = mix_worlds(worlds, world_masses, context)
-    return ExactSolution(masses, states, "prop-4.4", {"pc_worlds": count})
+    masses, states, count, largest = mix_worlds(worlds, world_masses, context)
+    return ExactSolution(
+        masses, states, "prop-4.4", {"pc_worlds": count}, world_states=largest
+    )
 
 
 def evaluate_inflationary_exact(

@@ -41,15 +41,14 @@ def evaluate_forever_exact(
     max_states: int = DEFAULT_MAX_STATES,
     context: "RunContext | None" = None,
     cache: "TransitionCache | None" = None,
-    backend: str | None = None,
     solutions: SolutionStore | None = None,
 ) -> ExactResult:
     """Exact result of a forever-query.
 
-    ``backend="columnar"`` builds the chain over interned columnar
-    states (see :mod:`repro.core.evaluation.backend`); the probability
-    is an exact :class:`~fractions.Fraction` either way and identical
-    between backends.
+    A lowered query (:func:`repro.kernel.lower`) builds the chain over
+    interned columnar states; the probability is an exact
+    :class:`~fractions.Fraction` either way and identical between the
+    two kernels.
 
     Raises :class:`~repro.errors.StateSpaceLimitExceeded` when the
     reachable chain outgrows ``max_states`` (it can be exponential in
@@ -80,11 +79,8 @@ def evaluate_forever_exact(
     >>> evaluate_forever_exact(q, db).probability
     Fraction(1, 2)
     """
-    from repro.core.evaluation.backend import resolve_backend
+    from repro.kernel.lowering import lowered
 
-    query, initial, effective_backend = resolve_backend(
-        query, initial, backend, context=context, cache=cache
-    )
     tracer = tracer_of(context)
 
     def solve() -> tuple[ExactSolution, ExactResult]:
@@ -99,8 +95,8 @@ def evaluate_forever_exact(
         with phase_scope(context, "solve", states=chain.size):
             occupancy = long_run_state_distribution(chain, initial, tracer=tracer)
             structure = classify(chain)
-            if effective_backend != "frozenset":
-                structure = {**structure, "backend": effective_backend}
+            if lowered(query):
+                structure = {**structure, "backend": "columnar"}
             solution = ExactSolution(
                 masses={state: mass for state, mass in occupancy.items() if mass},
                 states_explored=chain.size,

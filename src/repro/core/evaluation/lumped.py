@@ -35,7 +35,6 @@ def evaluate_forever_lumped(
     max_states: int = DEFAULT_MAX_STATES,
     context: "RunContext | None" = None,
     cache: "TransitionCache | None" = None,
-    backend: str | None = None,
 ) -> ExactResult:
     """Exact forever-query result via the event-respecting quotient.
 
@@ -53,11 +52,8 @@ def evaluate_forever_lumped(
     >>> evaluate_forever_lumped(query, db).probability
     Fraction(1, 4)
     """
-    from repro.core.evaluation.backend import resolve_backend
+    from repro.kernel.lowering import lowered
 
-    query, initial, effective_backend = resolve_backend(
-        query, initial, backend, context=context, cache=cache
-    )
     with phase_scope(context, "chain-build") as scope:
         chain = build_state_chain(
             query.kernel, initial, max_states=max_states, context=context,
@@ -72,8 +68,8 @@ def evaluate_forever_lumped(
         )
         scope.annotate(quotient_states=quotient_size)
     details = {"full_states": chain.size, "quotient_states": quotient_size}
-    if effective_backend != "frozenset":
-        details["backend"] = effective_backend
+    if lowered(query):
+        details["backend"] = "columnar"
     return ExactResult(
         probability=probability,
         states_explored=quotient_size,

@@ -65,13 +65,24 @@ class ExactSolution:
     program (Prop 4.4).  An event's answer is the mass of the support
     states where it holds, so one solution answers every event.
     ``states_explored``, ``method`` and ``details`` are those of every
-    :class:`ExactResult` it answers.
+    :class:`ExactResult` it answers.  ``world_states`` is the largest
+    pc-table world's share of ``states_explored`` (``max_states``
+    bounds each world, and the worlds' counts add up); ``None`` means
+    one world, all of ``states_explored``.
     """
 
     masses: Mapping[Any, Fraction]
     states_explored: int
     method: str
     details: Mapping[str, Any] = field(default_factory=dict)
+    world_states: int | None = None
+
+    @property
+    def states_needed(self) -> int:
+        """The smallest ``max_states`` a fresh solve succeeds under."""
+        if self.world_states is None:
+            return self.states_explored
+        return self.world_states
 
     def answer(self, event: Callable[[Any], bool]) -> ExactResult:
         """The exact result of ``event``, a predicate on support states."""
@@ -93,10 +104,10 @@ class SolutionStore:
     under the store's lock, so the concurrent first requests of a
     kernel build one chain.  A solution is kept only when its support
     fits in ``capacity`` states, and reused only by a request whose
-    ``max_states`` admits the states it explored (a lower limit solves
-    afresh and overflows as it would without the store).  A solve that
-    raises (cancelled, out of budget, over ``max_states``) keeps
-    nothing.
+    ``max_states`` admits the states each of its worlds explored (a
+    lower limit solves afresh and overflows as it would without the
+    store).  A solve that raises (cancelled, out of budget, over
+    ``max_states``) keeps nothing.
     """
 
     #: Seconds between cancellation checks while another request solves.
@@ -142,7 +153,7 @@ class SolutionStore:
         """
         with self._held(context):
             stored = self.get(kernel)
-            if stored is None or stored.states_explored > max_states:
+            if stored is None or stored.states_needed > max_states:
                 solution, result = solve()
                 if stored is None and len(solution.masses) <= self.capacity:
                     self._solutions[id(kernel)] = (kernel, solution)

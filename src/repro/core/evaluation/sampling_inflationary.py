@@ -96,7 +96,6 @@ def evaluate_inflationary_sampling(
     cache_size: int | None = None,
     parallel: "ParallelConfig | None" = None,
     cache: "TransitionCache | None" = None,
-    backend: str | None = None,
 ) -> SamplingResult:
     """The Theorem 4.3 sampler: a randomized absolute (ε, δ)-approximation
     running in time polynomial in the database size.
@@ -136,22 +135,15 @@ def evaluate_inflationary_sampling(
         ``sample_transition``).  Ignored with ``parallel`` workers
         (caches cannot cross process boundaries; workers get private
         caches of the same capacity).
-    backend:
-        ``"frozenset"`` (default) or ``"columnar"`` — see
-        :mod:`repro.core.evaluation.backend`.  Estimates are
-        bit-identical for a fixed seed; pc-table programs fall back to
-        the frozenset path with a recorded reason (valuations are
-        instantiated per sample on frozenset relations).
+
+    A lowered query (:func:`repro.kernel.lower`) samples on the
+    columnar kernel, on workers too, with bit-identical estimates for a
+    fixed seed.
     """
-    from repro.core.evaluation.backend import resolve_backend
+    from repro.kernel.lowering import lowered
 
     query.kernel.check_schema(initial)
     generator = make_rng(rng)
-    effective_backend = "frozenset"
-    if parallel is None or not parallel.enabled:
-        query, initial, effective_backend = resolve_backend(
-            query, initial, backend, context=context, cache=cache
-        )
     kernel = query.kernel
     fixed_kernel = kernel.without_pc_tables()
 
@@ -184,7 +176,6 @@ def evaluate_inflationary_sampling(
             cache_size=cache_size,
             parallel=parallel,
             context=context,
-            backend=backend,
         )
 
     row_cache = cache
@@ -249,8 +240,8 @@ def evaluate_inflationary_sampling(
         "mean_steps_per_sample": total_steps / planned,
         "fixpoint_cache_size": len(fixpoint_cache),
     }
-    if effective_backend != "frozenset":
-        details["backend"] = effective_backend
+    if lowered(query):
+        details["backend"] = "columnar"
     if row_cache is not None:
         details["cache"] = row_cache.stats()
     return SamplingResult(
@@ -276,9 +267,9 @@ def _inflationary_sampling_parallel(
     cache_size: int | None,
     parallel: "ParallelConfig",
     context: "RunContext | None",
-    backend: str | None = None,
 ) -> SamplingResult:
     """Theorem 4.3 trials over a worker pool (seed-stable, budgeted)."""
+    from repro.kernel.lowering import lowered
     from repro.perf.parallel import (
         _run_inflationary_trials,
         merge_tallies,
@@ -303,7 +294,6 @@ def _inflationary_sampling_parallel(
             "stall_threshold": stall_threshold,
             "cache_size": cache_size,
             "budget": budget,
-            "backend": backend,
             "profile": profiled,
         }
         for count, seed, budget in zip(counts, seeds, budgets)
@@ -318,6 +308,8 @@ def _inflationary_sampling_parallel(
         "mean_steps_per_sample": merged.get("total_steps", 0) / planned,
         "workers": workers,
     }
+    if lowered(query):
+        details["backend"] = "columnar"
     if context is not None:
         context.absorb_usage(steps=merged["steps"])
         if merged.get("cache"):

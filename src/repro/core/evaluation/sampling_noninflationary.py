@@ -122,7 +122,6 @@ def adaptive_burn_in(
     context: "RunContext | None" = None,
     cache_size: int | None = None,
     cache: "TransitionCache | None" = None,
-    backend: str | None = None,
 ) -> int:
     """Convergence-detection heuristic for implicit (too large) chains.
 
@@ -139,12 +138,7 @@ def adaptive_burn_in(
     frequency ``history`` and the walker count in its ``details`` so
     callers (notably the degradation policy) can diagnose slow modes.
     """
-    from repro.core.evaluation.backend import resolve_backend
-
     generator = make_rng(rng)
-    query, initial, _ = resolve_backend(
-        query, initial, backend, context=context, cache=cache
-    )
     query.kernel.check_schema(initial)
     cache = _make_cache(query.kernel, cache_size, context, cache)
     draw = query.kernel.sample_transition if cache is None else cache.sample
@@ -252,7 +246,6 @@ def evaluate_forever_mcmc(
     cache_size: int | None = None,
     parallel: "ParallelConfig | None" = None,
     cache: "TransitionCache | None" = None,
-    backend: str | None = None,
 ) -> SamplingResult:
     """The Theorem 5.6 sampler.
 
@@ -314,15 +307,14 @@ def evaluate_forever_mcmc(
         ``parallel`` workers, each worker falls back to a private cache
         of the same capacity.  Do not combine with ``resume`` unless
         the interrupted run was itself cached.
-    backend:
-        ``"frozenset"`` (default) or ``"columnar"`` — see
-        :mod:`repro.core.evaluation.backend`.  The columnar backend
-        compiles the program to the vectorized integer-ID kernel;
-        estimates are bit-identical for a fixed seed.  Parallel workers
-        compile in-process (compiled plans do not cross process
-        boundaries); ineligible programs, checkpointing, and pre-built
-        frozenset caches fall back with a recorded reason.
+
+    A lowered query (:func:`repro.kernel.lower`) walks the columnar
+    kernel with the same seeded tallies, on workers and through
+    checkpoints too: a checkpoint holds the source program's
+    fingerprint and externed walker states, so it resumes on either
+    kernel.
     """
+    from repro.kernel.lowering import lowered, source_database, source_query, state_of
     from repro.runtime.checkpoint import (
         KIND_FOREVER_MCMC,
         Checkpoint,
@@ -335,15 +327,9 @@ def evaluate_forever_mcmc(
     # it serialises the whole database: skip it for every other run.
     fingerprint = None
     if checkpoint_path is not None or resume is not None:
-        fingerprint_db = initial
-        if not isinstance(initial, Database):
-            # A pre-compiled columnar pair: fingerprint the externed
-            # database, as checkpoints serialise frozenset states.
-            from repro.kernel import extern_database
-
-            fingerprint_db = extern_database(initial)
+        source = source_query(query)
         fingerprint = run_fingerprint(
-            repr(query.kernel), fingerprint_db, repr(query.event)
+            repr(source.kernel), source_database(initial), repr(source.event)
         )
 
     checkpoint = _load_resume(resume)
@@ -357,6 +343,9 @@ def evaluate_forever_mcmc(
         start_sample = checkpoint.samples_done
         checkpoint.restore_rng(generator)
         resumed_walker = checkpoint.walker_state()
+        if resumed_walker is not None:
+            walker_db, walker_steps = resumed_walker
+            resumed_walker = state_of(query.kernel, walker_db), walker_steps
         # The cache setting shapes the RNG stream (one draw per cached
         # step); honour whatever the interrupted run used.
         cache_size = checkpoint.meta.get("cache_size", cache_size)
@@ -415,19 +404,8 @@ def evaluate_forever_mcmc(
                 cache_size=cache_size,
                 parallel=parallel,
                 context=context,
-                backend=backend,
             )
 
-    from repro.core.evaluation.backend import resolve_backend
-
-    query, initial, effective_backend = resolve_backend(
-        query,
-        initial,
-        backend,
-        context=context,
-        checkpointing=checkpoint_path is not None or resume is not None,
-        cache=cache,
-    )
     cache = _make_cache(query.kernel, cache_size, context, cache)
     draw = query.kernel.sample_transition if cache is None else cache.sample
     if cache is not None:
@@ -514,7 +492,7 @@ def evaluate_forever_mcmc(
                     generator.random()
             elif 0 < steps_done < burn_in:
                 walker = {
-                    "state": database_to_json(state),
+                    "state": database_to_json(source_database(state)),
                     "steps_done": steps_done,
                 }
             snapshot(sample_index, walker).save(checkpoint_path)
@@ -525,8 +503,8 @@ def evaluate_forever_mcmc(
         Path(checkpoint_path).unlink(missing_ok=True)
 
     details: dict = {"burn_in": burn_in, "resumed_at": start_sample or None}
-    if effective_backend != "frozenset":
-        details["backend"] = effective_backend
+    if lowered(query):
+        details["backend"] = "columnar"
     if cache is not None:
         details["cache"] = cache.stats()
     return SamplingResult(
@@ -551,7 +529,6 @@ def _forever_mcmc_parallel(
     cache_size: int | None,
     parallel: "ParallelConfig",
     context: "RunContext | None",
-    backend: str | None = None,
 ) -> SamplingResult:
     """Fan the planned trials out over a worker pool and merge tallies.
 
@@ -560,6 +537,7 @@ def _forever_mcmc_parallel(
     budget are pro-rated so the pool can never outspend the budget a
     sequential run honours.
     """
+    from repro.kernel.lowering import lowered
     from repro.perf.parallel import (
         _run_mcmc_trials,
         merge_tallies,
@@ -583,9 +561,6 @@ def _forever_mcmc_parallel(
             "seed": seed,
             "cache_size": cache_size,
             "budget": budget,
-            # Compiled plans hold closures and arrays that do not
-            # pickle; workers compile in-process from the original.
-            "backend": backend,
             # Traced parents ask workers to record spans into a
             # picklable buffer, shipped back and stitched in-trace.
             "profile": profiled,
@@ -599,6 +574,8 @@ def _forever_mcmc_parallel(
         tallies = run_worker_pool(_run_mcmc_trials, tasks, parallel, context)
         merged = merge_tallies(tallies)
     details: dict = {"burn_in": burn_in, "resumed_at": None, "workers": workers}
+    if lowered(query):
+        details["backend"] = "columnar"
     if context is not None:
         context.absorb_usage(steps=merged["steps"])
         if merged.get("cache"):

@@ -263,11 +263,12 @@ def evaluate_datalog_exact(
 
     def solve() -> tuple[ExactSolution, ExactResult]:
         with phase_scope(context, "solve") as scope:
+            largest = None
             if pc_tables is None:
                 masses, states = world_masses(edb)
                 worlds = 1
             else:
-                masses, states, worlds = mix_worlds(
+                masses, states, worlds, largest = mix_worlds(
                     (
                         (edb.with_relations(world.relations()), weight)
                         for world, weight in pc_tables.possible_worlds().items()
@@ -278,7 +279,8 @@ def evaluate_datalog_exact(
                 scope.annotate(pc_worlds=worlds)
             scope.annotate(states=states)
             solution = ExactSolution(
-                masses, states, "datalog-exact", {"pc_worlds": worlds}
+                masses, states, "datalog-exact", {"pc_worlds": worlds},
+                world_states=largest,
             )
             return solution, solution.answer(event.holds)
 

@@ -5,6 +5,7 @@ interned into a per-session :class:`SymbolTable`, relations become
 sorted ``int64`` arrays, and the relational operators plus repair-key
 run as numpy kernels.  Results — including sampled trajectories under a
 fixed seed — are bit-identical to the frozenset interpreter's.
+:func:`lower` is the one step that puts a query on this kernel.
 """
 
 from repro.kernel.columnar import (
@@ -26,6 +27,15 @@ from repro.kernel.compile import (
     compile_query,
     kernel_ineligibility,
 )
+from repro.kernel.lowering import (
+    fallback_reasons,
+    fallback_total,
+    lower,
+    lower_kernel,
+    lowered,
+    source_database,
+    source_query,
+)
 from repro.kernel.repair import repair_distribution_columnar, sample_repair_columnar
 from repro.kernel.symbols import SymbolTable
 
@@ -46,6 +56,13 @@ __all__ = [
     "compile_event",
     "compile_query",
     "kernel_ineligibility",
+    "lower",
+    "lower_kernel",
+    "lowered",
+    "source_query",
+    "source_database",
+    "fallback_total",
+    "fallback_reasons",
     "sample_repair_columnar",
     "repair_distribution_columnar",
 ]

@@ -140,6 +140,10 @@ class ColumnarRelation:
     def __repr__(self) -> str:
         return f"ColumnarRelation(columns={self.columns!r}, rows={len(self)})"
 
+    def __reduce__(self):
+        # The cached hash stays behind: string hashes differ by process.
+        return ColumnarRelation, (self.columns, self.data, True)
+
     def issubset(self, other: "ColumnarRelation") -> bool:
         if self.columns != other.columns:
             raise SchemaError(
@@ -218,6 +222,9 @@ class ColumnarDatabase:
     def __repr__(self) -> str:
         parts = ", ".join(f"{n}[{len(r)}]" for n, r in sorted(self._relations.items()))
         return f"ColumnarDatabase({parts})"
+
+    def __reduce__(self):
+        return ColumnarDatabase, (self._relations, self.table)
 
     # -- functional updates --------------------------------------------------
 

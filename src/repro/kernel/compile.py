@@ -19,9 +19,13 @@ Compilation is static: schemas are validated once, every constant is
 interned up front, predicate masks and join layouts are fixed per node.
 Programs the kernel cannot express (attached pc-tables, opaque
 ``RowPredicate`` selections, foreign event types) raise
-:class:`KernelCompileError`; callers fall back to the frozenset
-interpreter and report the fallback (PH005 hint +
-``repro_kernel_fallback_total`` metric).
+:class:`KernelCompileError`; :func:`repro.kernel.lowering.lower` then
+keeps the query on the frozenset interpreter and reports the fallback
+(PH005 hint + ``repro_kernel_fallback_total`` metric).
+
+Compiled plans hold closures, so a compiled kernel or event pickles as
+its source plus its symbol table and recompiles against that table on
+load: a lowered query crosses process boundaries as it is.
 """
 
 from __future__ import annotations
@@ -611,13 +615,24 @@ def _compile_expression(
 
 class CompiledEvent:
     """Duck-type of :class:`~repro.core.events.QueryEvent` over columnar
-    states."""
+    states.
+
+    The event :func:`compile_event` returns also keeps its ``source``
+    event and the ``kernel`` it was compiled against: checkpoints
+    fingerprint the source, and pickling recompiles from the two.
+    """
+
+    source: QueryEvent
+    kernel: "CompiledKernel"
 
     def holds(self, db: ColumnarDatabase) -> bool:
         raise NotImplementedError
 
     def __call__(self, db: ColumnarDatabase) -> bool:
         return self.holds(db)
+
+    def __reduce__(self):
+        return _recompile_event, (self.source, self.kernel)
 
 
 class _CTupleIn(CompiledEvent):
@@ -821,6 +836,26 @@ class CompiledKernel:
             f"symbols={len(self.table)})"
         )
 
+    def __reduce__(self):
+        return _recompile_kernel, (self.interpretation, self.table, self.schema_map)
+
+
+def _recompile_kernel(interpretation, table: SymbolTable, schema) -> CompiledKernel:
+    """Plan ``interpretation`` against an existing symbol table (the
+    unpickling half of :meth:`CompiledKernel.__reduce__`)."""
+    timings = OpTimings()
+    plans = {
+        name: _compile_expression(expression, schema, table, timings)
+        for name, expression in sorted(interpretation.queries.items())
+    }
+    return CompiledKernel(interpretation, table, plans, timings, schema)
+
+
+def _recompile_event(event: QueryEvent, kernel: CompiledKernel) -> CompiledEvent:
+    compiled = _compile_event(event, kernel.schema_map, kernel.table, kernel.timings)
+    compiled.source, compiled.kernel = event, kernel
+    return compiled
+
 
 class CompiledQuery:
     """The result of :func:`compile_query`: a backend-swapped query plus
@@ -862,15 +897,9 @@ def compile_kernel(
         _expression_constants(expression, universe)
     universe.update(extra_values)
     table = SymbolTable(universe)
-    schema = initial.schema()
     # Static schema validation, as Interpretation.check_schema does.
     kernel.check_schema(initial)
-    timings = OpTimings()
-    plans = {
-        name: _compile_expression(expression, schema, table, timings)
-        for name, expression in sorted(kernel.queries.items())
-    }
-    compiled = CompiledKernel(kernel, table, plans, timings, schema)
+    compiled = _recompile_kernel(kernel, table, initial.schema())
     return compiled, intern_database(initial, table)
 
 
@@ -886,7 +915,7 @@ def compile_event(event: QueryEvent, kernel: CompiledKernel) -> CompiledEvent:
         raise KernelCompileError(
             "event is not kernel-eligible: " + "; ".join(reasons)
         )
-    return _compile_event(event, kernel.schema_map, kernel.table, kernel.timings)
+    return _recompile_event(event, kernel)
 
 
 def compile_query(query: ForeverQuery, initial: Database) -> CompiledQuery:

@@ -115,6 +115,13 @@ class SymbolTable:
             self._rank = rank
         return self._rank
 
+    def __reduce__(self):
+        # Copying the value list is one atomic step, so a table that
+        # another thread interns into while a worker task pickles (in a
+        # queue's feeder thread) still pickles whole and consistent; the
+        # rest is derived from it.
+        return _restore_table, (list(self._values), self._static_size)
+
     def float_list(self) -> list[float | None]:
         """Per-ID ``float(Fraction(value))``; None for non-numeric values.
 
@@ -155,6 +162,14 @@ class SymbolTable:
                 f"repair-key weight column must contain positive values, got {value!r}"
             )
         return weight
+
+
+def _restore_table(values: list, static_size: int) -> SymbolTable:
+    table = SymbolTable()
+    table._values = values
+    table._ids = {value: i for i, value in enumerate(values)}
+    table._static_size = static_size
+    return table
 
 
 def _float_or_none(value: Any) -> float | None:

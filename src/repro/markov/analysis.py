@@ -32,15 +32,19 @@ def transition_graph(chain: MarkovChain[S]) -> "nx.DiGraph":
 
 def _components(chain: MarkovChain[S]) -> list[tuple[frozenset[S], bool]]:
     """Every SCC with whether it is closed (a leaf of the condensation),
-    in a topological order of the condensation, from one SCC pass."""
-    condensation = nx.condensation(transition_graph(chain))
-    return [
-        (
-            frozenset(condensation.nodes[node]["members"]),
-            condensation.out_degree(node) == 0,
-        )
-        for node in nx.topological_sort(condensation)
-    ]
+    in a topological order of the condensation, from the chain's one
+    SCC pass (kept on the chain, and inherited by its closed
+    restrictions)."""
+    if chain._components is None:
+        condensation = nx.condensation(transition_graph(chain))
+        chain._components = [
+            (
+                frozenset(condensation.nodes[node]["members"]),
+                condensation.out_degree(node) == 0,
+            )
+            for node in nx.topological_sort(condensation)
+        ]
+    return chain._components
 
 
 def strongly_connected_components(chain: MarkovChain[S]) -> list[frozenset[S]]:
@@ -168,7 +172,7 @@ def reachable_states(chain: MarkovChain[S], start: S) -> frozenset[S]:
 
 def classify(chain: MarkovChain[S]) -> dict[str, object]:
     """A structural summary used by diagnostics and benchmark output
-    (one SCC pass)."""
+    (from the chain's one SCC pass)."""
     components = _components(chain)
     leaves = [component for component, closed in components if closed]
     aperiodic = _aperiodic(chain, leaves)

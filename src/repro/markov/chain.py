@@ -64,6 +64,9 @@ class MarkovChain(Generic[S]):
                     raise MarkovChainError(
                         f"state {state!r} transitions to unknown state {successor!r}"
                     )
+        # The chain is immutable, so its SCC pass is computed once
+        # (repro.markov.analysis) and kept here.
+        self._components: "list[tuple[frozenset[S], bool]] | None" = None
 
     # -- basic accessors -----------------------------------------------------
 
@@ -172,7 +175,16 @@ class MarkovChain(Generic[S]):
             transitions[state] = row
         if keep - set(transitions):
             raise MarkovChainError(f"unknown states {keep - set(transitions)!r}")
-        return MarkovChain(transitions)
+        sub = MarkovChain(transitions)
+        if self._components is not None:
+            # A closed subset is a union of whole SCCs, each as closed
+            # as before: the sub-chain inherits its share of the pass.
+            sub._components = [
+                (component, closed)
+                for component, closed in self._components
+                if next(iter(component)) in keep
+            ]
+        return sub
 
     def relabelled(self, label: Callable[[S], Hashable]) -> "MarkovChain":
         """A chain with states renamed by an *injective* labelling."""

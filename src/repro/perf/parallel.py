@@ -30,6 +30,7 @@ counters); the samplers merge them and build the usual
 from __future__ import annotations
 
 import multiprocessing
+import pickle
 import random
 import time
 from dataclasses import dataclass
@@ -149,15 +150,18 @@ _HEARTBEAT: Any = None
 _PERSISTENT = False
 
 #: Warm caches surviving across tasks in a persistent worker, keyed by
-#: ``(repr(kernel), maxsize)``.  Kernels arrive freshly unpickled with
-#: every task, so on reuse the cache is re-bound to the new — equal —
-#: kernel object (``repr`` is the kernels' identity: it renders the
-#: full algebra tree).
-_WARM_CACHES: dict[tuple[str, int], Any] = {}
+#: ``(pickle of the kernel, maxsize)``.  Kernels arrive freshly
+#: unpickled with every task, so on reuse the cache is re-bound to the
+#: new — equal — kernel object.  The pickle is the kernel's whole
+#: program (its ``repr`` names only the relations it rewrites, which
+#: two programs can share).  Compiled kernels get none: their states
+#: are ids into one task's copy of the symbol table.
+_WARM_CACHES: dict[tuple[bytes, int], Any] = {}
 
 
 def _warm_cache(kernel: Any, cache_size: int | None) -> Any:
-    """The persistent worker's warm cache for ``kernel``, or ``None``.
+    """The persistent worker's warm cache for ``kernel``, or ``None``
+    (the sampler then builds a private one from ``cache_size``).
 
     The ``worker.cache`` fault site models cache corruption: a fired
     ``corrupt`` action discards the warm entries (the detected-and-
@@ -165,12 +169,14 @@ def _warm_cache(kernel: Any, cache_size: int | None) -> Any:
     estimate — the cached sampler draws exactly one uniform per step
     whether it hits or misses, so the RNG stream is hit/miss-invariant.
     """
-    if not _PERSISTENT or cache_size is None:
-        return None
     from repro import faults
+    from repro.kernel import CompiledKernel
     from repro.perf.cache import TransitionCache
 
-    key = (repr(kernel), cache_size)
+    if not _PERSISTENT or cache_size is None or isinstance(kernel, CompiledKernel):
+        return None
+
+    key = (pickle.dumps(kernel), cache_size)
     cache = _WARM_CACHES.get(key)
     if cache is None:
         cache = _WARM_CACHES[key] = TransitionCache(kernel, maxsize=cache_size)
@@ -227,15 +233,7 @@ def _run_mcmc_trials(task: dict) -> dict:
     from repro.core.evaluation.sampling_noninflationary import evaluate_forever_mcmc
 
     context = WorkerContext(task["budget"], tracer=worker_tracer(task))
-    backend = task.get("backend")
-    # A warm cache is keyed on the frozenset kernel; with the columnar
-    # backend the evaluator compiles in-process and builds its own
-    # cache from cache_size (a cache serves exactly one kernel object).
-    cache = (
-        None
-        if backend == "columnar"
-        else _warm_cache(task["query"].kernel, task["cache_size"])
-    )
+    cache = _warm_cache(task["query"].kernel, task["cache_size"])
     before = cache.stats() if cache is not None else None
     result = evaluate_forever_mcmc(
         task["query"],
@@ -246,7 +244,6 @@ def _run_mcmc_trials(task: dict) -> dict:
         cache_size=task["cache_size"],
         context=context,
         cache=cache,
-        backend=backend,
     )
     payload = {
         "positive": result.positive,
@@ -263,12 +260,9 @@ def _run_inflationary_trials(task: dict) -> dict:
     )
 
     context = WorkerContext(task["budget"], tracer=worker_tracer(task))
-    backend = task.get("backend")
-    cache = (
-        None
-        if backend == "columnar"
-        else _warm_cache(task["query"].kernel, task["cache_size"])
-    )
+    # The fixpoint check enumerates the pc-free kernel: memoize that one.
+    kernel = task["query"].kernel.without_pc_tables()
+    cache = _warm_cache(kernel, task["cache_size"])
     before = cache.stats() if cache is not None else None
     result = evaluate_inflationary_sampling(
         task["query"],
@@ -280,7 +274,6 @@ def _run_inflationary_trials(task: dict) -> dict:
         cache_size=task["cache_size"],
         context=context,
         cache=cache,
-        backend=backend,
     )
     payload = {
         "positive": result.positive,

@@ -171,7 +171,6 @@ def evaluate_forever_resilient(
     resume: "Checkpoint | str | Path | None" = None,
     cache: "TransitionCache | None" = None,
     hints: "PlanHints | None" = None,
-    backend: str | None = None,
     prefer_sparse: bool = False,
 ) -> Union[ExactResult, "CertifiedResult", SamplingResult]:
     """Evaluate a forever-query, degrading instead of aborting.
@@ -265,7 +264,7 @@ def evaluate_forever_resilient(
                     ExactResult, "CertifiedResult", SamplingResult
                 ] = evaluate_forever_exact(
                     query, initial, max_states=max_states, context=context,
-                    cache=cache, backend=backend,
+                    cache=cache,
                 )
             elif rung == "sparse":
                 from repro.sparse import evaluate_forever_sparse
@@ -277,7 +276,6 @@ def evaluate_forever_resilient(
                     max_states=max_states * SPARSE_STATE_FACTOR,
                     max_iterations=SPARSE_MAX_ITERATIONS,
                     context=context,
-                    backend=backend,
                 )
             elif rung == "lumped":
                 result = evaluate_forever_lumped(
@@ -286,7 +284,6 @@ def evaluate_forever_resilient(
                     max_states=max_states * LUMPED_STATE_FACTOR,
                     context=context,
                     cache=cache,
-                    backend=backend,
                 )
             else:
                 burn_in = policy.mcmc_burn_in
@@ -299,7 +296,6 @@ def evaluate_forever_resilient(
                         context=context,
                         cache_size=policy.mcmc_cache_size,
                         cache=cache,
-                        backend=backend,
                     )
                     context.record_event(f"adaptive burn-in estimated: {burn_in}")
                 result = evaluate_forever_mcmc(
@@ -316,7 +312,6 @@ def evaluate_forever_resilient(
                     cache_size=policy.mcmc_cache_size,
                     parallel=policy.parallel_config(),
                     cache=cache if checkpoint_path is None and resume is None else None,
-                    backend=backend,
                 )
         except (StateSpaceLimitExceeded, SolveRefusedError) as error:
             if on_last_rung:

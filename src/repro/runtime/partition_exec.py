@@ -150,7 +150,6 @@ def evaluate_partitioned(
     policy: DegradationPolicy | None = None,
     context: RunContext | None = None,
     seed: int | None = None,
-    backend: str | None = None,
     prefer_sparse: bool = False,
     workers: int = 1,
 ) -> ExactResult | SamplingResult:
@@ -169,9 +168,17 @@ def evaluate_partitioned(
     result is an :class:`ExactResult` when every component answered
     exactly, otherwise a :class:`SamplingResult` carrying the summed
     error/failure bounds.
+
+    A lowered query (:func:`repro.kernel.lower`) is planned and split on
+    its source program, and each component's sub-query is lowered
+    before that component's rung runs.
     """
+    from repro.kernel.lowering import lowered, source_database, source_query
+
     semantics = "inflationary" if isinstance(query, InflationaryQuery) else "forever"
     context = ensure_context(context)
+    lower_components = lowered(query)
+    query, initial = source_query(query), source_database(initial)
     kernel = query.kernel
 
     with phase_scope(context, "partition-plan") as scope:
@@ -228,7 +235,7 @@ def evaluate_partitioned(
         policy=policy,
         context=context,
         seed=seed,
-        backend=backend,
+        lower_components=lower_components,
         prefer_sparse=prefer_sparse,
         workers=workers,
     )
@@ -396,39 +403,29 @@ def _solve_one(task: Mapping[str, Any]) -> ComponentOutcome:
     """Evaluate one component (shared by the serial and pooled paths)."""
     from repro.probability.rng import make_rng
 
-    semantics = task["semantics"]
-    sub_kernel = task["kernel"]
-    sub_db = task["database"]
-    group_event = task["event"]
-    if semantics == "inflationary":
+    query = task["query"]
+    if task["semantics"] == "inflationary":
         from repro.core.evaluation.exact_inflationary import (
             evaluate_inflationary_exact,
         )
 
         result: Any = evaluate_inflationary_exact(
-            InflationaryQuery(sub_kernel, group_event),
-            sub_db,
+            query,
+            task["database"],
             max_states=task["max_states"],
             context=task.get("context"),
         )
     else:
         from repro.runtime.degradation import evaluate_forever_resilient
 
-        sub_query = ForeverQuery(sub_kernel, group_event)
-        hints = PlanHints.for_kernel(
-            sub_kernel,
-            event=group_event if isinstance(group_event, TupleIn) else None,
-            semantics="forever",
-        )
         result = evaluate_forever_resilient(
-            sub_query,
-            sub_db,
+            query,
+            task["database"],
             max_states=task["max_states"],
             policy=task.get("policy"),
             context=task.get("context"),
             rng=make_rng(task.get("seed")),
-            hints=hints,
-            backend=task.get("backend"),
+            hints=task["hints"],
             prefer_sparse=bool(task.get("prefer_sparse", False)),
         )
     return _outcome_of(task["name"], task["members"], result)
@@ -542,10 +539,13 @@ def _solve_components(
     policy: DegradationPolicy | None,
     context: RunContext,
     seed: int | None,
-    backend: str | None,
+    lower_components: bool,
     prefer_sparse: bool,
     workers: int,
 ) -> list[ComponentOutcome]:
+    from repro.kernel.lowering import lower
+
+    query_cls = InflationaryQuery if semantics == "inflationary" else ForeverQuery
     tasks: list[dict[str, Any]] = []
     for component in plan.components:
         group_event = split.groups.get(component.name)
@@ -554,18 +554,27 @@ def _solve_components(
         sub_kernel, sub_db = _component_problem(
             kernel, initial, plan, component, group_event
         )
+        hints: PlanHints | None = None
+        if semantics == "forever":
+            hints = PlanHints.for_kernel(
+                sub_kernel,
+                event=group_event if isinstance(group_event, TupleIn) else None,
+                semantics="forever",
+            )
+        sub_query = query_cls(sub_kernel, group_event)
+        if lower_components:
+            sub_query, sub_db = lower(sub_query, sub_db, context)
         tasks.append(
             {
                 "name": component.name,
                 "members": component.members,
-                "kernel": sub_kernel,
+                "query": sub_query,
                 "database": sub_db,
-                "event": group_event,
+                "hints": hints,
                 "semantics": semantics,
                 "max_states": max_states,
                 "policy": policy,
                 "seed": None if seed is None else seed + component.index,
-                "backend": backend,
                 "prefer_sparse": prefer_sparse,
             }
         )

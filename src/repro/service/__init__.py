@@ -20,7 +20,7 @@ into a long-running **query service**:
 
 from repro.service.client import ServiceClient
 from repro.service.http import ServiceServer, make_server
-from repro.service.metrics import LatencyHistogram, ServiceMetrics
+from repro.service.metrics import ServiceMetrics
 from repro.service.request import PRIORITIES, SEMANTICS, QueryRequest
 from repro.service.result_cache import DEFAULT_RESULT_CACHE_SIZE, ResultCache
 from repro.service.scheduler import (
@@ -64,7 +64,6 @@ __all__ = [
     "EngineSession",
     "Job",
     "JobScheduler",
-    "LatencyHistogram",
     "PRIORITIES",
     "QueryRequest",
     "QueryService",

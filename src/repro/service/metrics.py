@@ -21,14 +21,10 @@ Metric names (see ``docs/observability.md`` for the full table):
 ``repro_job_queue_seconds``         histogram  by ``semantics`` label
 ``repro_job_run_seconds``           histogram  by ``semantics`` label
 ==================================  =========  ==========================
-
-:class:`LatencyHistogram` (the original fixed-bucket histogram) is kept
-for callers that want a standalone histogram without a registry.
 """
 
 from __future__ import annotations
 
-import threading
 from typing import Mapping
 
 from repro.obs.metrics import MetricsRegistry
@@ -38,54 +34,6 @@ from repro.obs.metrics import MetricsRegistry
 DEFAULT_BUCKETS = (
     0.001, 0.005, 0.01, 0.05, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0, 30.0, 60.0,
 )
-
-
-class LatencyHistogram:
-    """A fixed-bucket latency histogram (thread-safe, standalone).
-
-    Examples
-    --------
-    >>> histogram = LatencyHistogram()
-    >>> histogram.observe(0.003)
-    >>> histogram.observe(0.2)
-    >>> histogram.count, round(histogram.sum, 3)
-    (2, 0.203)
-    """
-
-    def __init__(self, buckets: tuple[float, ...] = DEFAULT_BUCKETS):
-        self.buckets = tuple(buckets)
-        self._counts = [0] * (len(self.buckets) + 1)
-        self._lock = threading.Lock()
-        self.count = 0
-        self.sum = 0.0
-        self.max = 0.0
-
-    def observe(self, seconds: float) -> None:
-        """Record one latency observation."""
-        index = len(self.buckets)
-        for position, bound in enumerate(self.buckets):
-            if seconds <= bound:
-                index = position
-                break
-        with self._lock:
-            self._counts[index] += 1
-            self.count += 1
-            self.sum += seconds
-            if seconds > self.max:
-                self.max = seconds
-
-    def as_dict(self) -> dict:
-        """JSON-friendly rendering: bucket bounds, counts, summary."""
-        with self._lock:
-            counts = list(self._counts)
-            return {
-                "buckets": [*self.buckets, "+Inf"],
-                "counts": counts,
-                "count": self.count,
-                "sum": self.sum,
-                "max": self.max,
-                "mean": (self.sum / self.count) if self.count else None,
-            }
 
 
 class ServiceMetrics:

@@ -51,10 +51,10 @@ _PARAMS = {
     "datalog": _COMMON_PARAMS,
 }
 
-#: Recognised execution backends.  ``frozenset``/``columnar`` mirror
-#: repro.core.evaluation.backend; ``sparse`` (forever-queries only)
-#: answers through the certified CSR rung first, keeping the fallback
-#: ladder behind it.
+#: Recognised execution backends.  ``columnar`` lowers the query onto
+#: the compiled kernel (repro.kernel.lower), ``frozenset`` keeps the
+#: interpreter; ``sparse`` (forever-queries only) answers through the
+#: certified CSR rung first, keeping the fallback ladder behind it.
 _BACKENDS = ("frozenset", "columnar", "sparse")
 
 #: Degradation ladders (repro.runtime.degradation) and partition modes.

@@ -27,9 +27,9 @@ import time
 from dataclasses import dataclass, field
 
 from repro import faults
-from repro.core.evaluation.backend import fallback_reasons as kernel_fallback_reasons
-from repro.core.evaluation.backend import fallback_total as kernel_fallback_total
 from repro.errors import JobNotFoundError, ProgramRejectedError
+from repro.kernel.lowering import fallback_reasons as kernel_fallback_reasons
+from repro.kernel.lowering import fallback_total as kernel_fallback_total
 from repro.obs.metrics import MetricsRegistry
 from repro.runtime import Budget
 from repro.service.metrics import ServiceMetrics

@@ -251,11 +251,10 @@ class EngineSession:
         self._served_lock = threading.Lock()
         # None or 0: no transition cache, on either kernel.
         self._cache_size = cache_size
-        # Columnar bundle: None = not yet requested; a str = compile
-        # failed with that reason; a tuple = (CompiledKernel,
-        # ColumnarDatabase, columnar TransitionCache or None), built
-        # once and shared by every columnar request on this session.
-        self._columnar: "tuple | str | None" = None
+        # (CompiledKernel, ColumnarDatabase, TransitionCache or None):
+        # the kernel a ``backend: columnar`` request lowers onto,
+        # compiled on first use and shared by every such request.
+        self._columnar: "tuple | None" = None
         self._columnar_lock = threading.Lock()
         self._cache: TransitionCache | None = None
         if kernel is not None and cache_size:
@@ -401,70 +400,41 @@ class EngineSession:
             raise _rejection(report)
         return report
 
-    def _columnar_artifacts(self, context: RunContext | None):
-        """The session's compiled columnar bundle, built on first use.
+    def _lower(self, query, context: RunContext):
+        """``query`` lowered for a ``backend: columnar`` request:
+        ``(query, initial, cache)``, the cache being the one that
+        matches the kernel the query holds.
 
-        Returns ``(CompiledKernel, ColumnarDatabase, TransitionCache or
-        None)`` or ``None`` when the program is kernel-ineligible — the
-        reason is remembered, and every affected request counts one
-        fallback (``repro_kernel_fallback_total``).
+        The kernel compiles once per session and each request's event
+        on its own; a program that cannot lower stays on the
+        interpreter, with one recorded fallback per request.
         """
+        from repro.kernel.lowering import lower, lower_kernel
+
         with self._columnar_lock:
-            state = self._columnar
-            if state is None:
-                from repro.kernel import KernelCompileError, compile_kernel
-
-                try:
-                    compiled, initial = compile_kernel(self.kernel, self.database)
-                except KernelCompileError as error:
-                    state = str(error)
-                else:
-                    cache = (
-                        TransitionCache(compiled, maxsize=self._cache_size)
-                        if self._cache_size
-                        else None
-                    )
-                    state = (compiled, initial, cache)
-                self._columnar = state
-        if isinstance(state, str):
-            from repro.core.evaluation.backend import record_fallback
-
-            record_fallback(state, context)
-            return None
-        return state
-
-    def _compiled_query(self, query_cls, event, context: RunContext | None):
-        """``query_cls`` over the compiled kernel, or ``None`` → frozenset.
-
-        Returns ``(query, columnar_initial, columnar_cache)``.  The
-        kernel compiles once per session; the event compiles per
-        request (sessions are shared across events).
-        """
-        artifacts = self._columnar_artifacts(context)
-        if artifacts is None:
-            return None
-        compiled, initial, cache = artifacts
-        from repro.core.evaluation.backend import record_fallback
-        from repro.kernel import KernelCompileError, compile_event
-
-        try:
-            compiled_event = compile_event(event, compiled)
-        except KernelCompileError as error:
-            record_fallback(str(error), context)
-            return None
-        return query_cls(compiled, compiled_event), initial, cache
+            if self._columnar is None:
+                compiled, initial = lower_kernel(self.kernel, self.database, context)
+                if compiled is self.kernel:
+                    return query, self.database, self._cache
+                cache = (
+                    TransitionCache(compiled, maxsize=self._cache_size)
+                    if self._cache_size
+                    else None
+                )
+                self._columnar = (compiled, initial, cache)
+        compiled, initial, cache = self._columnar
+        query, initial = lower(query.__class__(compiled, query.event), initial, context)
+        return query, initial, cache if query.kernel is compiled else self._cache
 
     def stats(self) -> dict:
         """JSON-friendly session snapshot for the metrics endpoint."""
         columnar = self._columnar
-        if isinstance(columnar, tuple):
+        if columnar is not None:
             cache = columnar[2]
             columnar = {
                 "compiled": True,
                 "transition_cache": cache.stats() if cache else None,
             }
-        elif columnar is not None:
-            columnar = {"compiled": False, "reason": columnar}
         return {
             "key": self.key,
             "semantics": self.semantics,
@@ -521,9 +491,7 @@ class EngineSession:
 
     def _op_timings_snapshot(self) -> "dict[str, dict[str, float]] | None":
         columnar = self._columnar
-        if isinstance(columnar, tuple):
-            return columnar[0].op_timings()
-        return None
+        return columnar[0].op_timings() if columnar is not None else None
 
     def _record_kernel_ops(
         self,
@@ -539,7 +507,7 @@ class EngineSession:
         the whole total is its share.
         """
         columnar = self._columnar
-        if not isinstance(columnar, tuple):
+        if columnar is None:
             return
         after = columnar[0].op_timings()
         prior = before or {}
@@ -556,6 +524,7 @@ class EngineSession:
     def _evaluate_partitioned(
         self,
         query,
+        initial,
         params: Mapping[str, Any],
         max_states: int,
         context: RunContext,
@@ -567,24 +536,24 @@ class EngineSession:
         plan does not apply (single component, event does not
         decompose) — the caller evaluates whole-program.
         """
+        from repro.kernel.lowering import source_query
+
         plan = self._partition_plan()
-        if plan is None or not can_partition(plan, query.event):
+        if plan is None or not can_partition(plan, source_query(query).event):
             context.record_event(
                 "partition requested but the program does not split; "
                 "using whole-program evaluation"
             )
             return None
-        backend = params.get("backend")
         result = evaluate_partitioned(
             query,
-            self.database,
+            initial,
             plan,
             max_states=max_states,
             policy=None if self.semantics == "inflationary" else _policy(params),
             context=context,
             seed=params.get("seed"),
-            backend="columnar" if backend == "columnar" else None,
-            prefer_sparse=backend == "sparse",
+            prefer_sparse=params.get("backend") == "sparse",
             workers=_param(params, "workers", 1),
         )
         payload = result_payload(result)
@@ -607,20 +576,25 @@ class EngineSession:
         forever = self.semantics == "forever"
         query_cls = ForeverQuery if forever else InflationaryQuery
         query = query_cls(self.kernel, parse_event(request.event))
+        initial, cache = self.database, self._cache
+        backend = params.get("backend")
+        if backend == "columnar":
+            # Lowered once, here: every rung below runs the kernel the
+            # query holds, with the cache that matches it.
+            query, initial, cache = self._lower(query, context)
         max_states = _param(params, "max_states", 20_000 if forever else 100_000)
         workers = _param(params, "workers", 1)
         if params.get("partition") == "auto":
             partitioned = self._evaluate_partitioned(
-                query, params, max_states, context
+                query, initial, params, max_states, context
             )
             if partitioned is not None:
                 return partitioned
-        initial = self.database
         # cache_size 0 opts the request out of the session cache; any
         # other value keeps it — per-request sizes would defeat sharing.
         opted_out = params.get("cache_size") == 0
-        cache = None if opted_out else self._cache
-        backend = params.get("backend")
+        if opted_out:
+            cache = None
         ladder = forever and (
             _param(params, "fallback", "none") != "none" or backend == "sparse"
         )
@@ -628,31 +602,13 @@ class EngineSession:
         # PH001: the kernel makes no probabilistic choice — a requested
         # estimate would converge on a number one exact run computes.
         shortcut = sampling and not ladder and self.hints.deterministic
-        backend_param: str | None = None
-        precompiled = False
-        if backend == "columnar":
-            fans_out = workers > 1 and (ladder or (sampling and not shortcut))
-            if fans_out or checkpoint_path is not None or resume is not None:
-                # Compiled plans hold closures and arrays that do not
-                # pickle, and checkpoints hold frozenset walker states:
-                # the evaluator resolves (or falls back from) the backend.
-                backend_param = "columnar"
-            else:
-                compiled = self._compiled_query(query_cls, query.event, context)
-                if compiled is not None:
-                    query, initial, columnar_cache = compiled
-                    cache = None if opted_out else columnar_cache
-                    backend_param = "columnar"
-                    precompiled = True
-
         solutions = None if opted_out else self._solutions
 
         def exact():
             if forever:
                 return evaluate_forever_exact(
                     query, initial, max_states=max_states,
-                    context=context, cache=cache, backend=backend_param,
-                    solutions=solutions,
+                    context=context, cache=cache, solutions=solutions,
                 )
             return evaluate_inflationary_exact(
                 query, initial, max_states=max_states, context=context,
@@ -671,7 +627,6 @@ class EngineSession:
                 resume=resume,
                 cache=cache,
                 hints=self.hints,
-                backend=backend_param,
                 prefer_sparse=backend == "sparse",
             )
             payload = result_payload(result)
@@ -694,7 +649,6 @@ class EngineSession:
                 # setting, which its checkpoint records.
                 cache=None if resume is not None else cache,
                 parallel=_parallel_config(workers),
-                backend=backend_param,
             )
             payload = result_payload(result)
         elif sampling:
@@ -708,20 +662,16 @@ class EngineSession:
                 context=context,
                 cache=cache,
                 parallel=_parallel_config(workers),
-                backend=backend_param,
             )
             payload = result_payload(result)
         elif forever and params.get("lumped"):
             result = evaluate_forever_lumped(
                 query, initial, max_states=max_states,
-                context=context, cache=cache, backend=backend_param,
+                context=context, cache=cache,
             )
             payload = result_payload(result)
         else:
             payload = result_payload(exact())
-        if precompiled:
-            # The inflationary exact evaluator takes no backend argument.
-            payload["backend"] = "columnar"
         return payload
 
     def _evaluate_datalog(self, request: QueryRequest, context: RunContext) -> dict:

@@ -83,13 +83,12 @@ def evaluate_forever_sparse(
     max_states: int = DEFAULT_MAX_STATES,
     max_iterations: int = 50_000,
     context: "RunContext | None" = None,
-    backend: str | None = None,
 ) -> CertifiedResult:
     """Certified float64 result of a forever-query.
 
-    ``backend`` follows the usual convention (``None`` prefers the
-    columnar kernel and falls back to the frozenset interpreter with
-    the reason recorded; an explicit name forces that backend).  The
+    The rung lowers the query (:func:`repro.kernel.lower`) and so runs
+    on the columnar kernel whenever the program lowers; an ineligible
+    program streams off the interpreter, with the reason recorded.  The
     answer is identical either way — only assembly speed differs.
 
     Raises
@@ -111,12 +110,9 @@ def evaluate_forever_sparse(
     >>> result.certificate.satisfies()
     True
     """
-    from repro.core.evaluation.backend import resolve_backend
+    from repro.kernel.lowering import lower, lowered
 
-    requested = "columnar" if backend is None else backend
-    query, initial, effective_backend = resolve_backend(
-        query, initial, requested, context=context
-    )
+    query, initial = lower(query, initial, context)
     with phase_scope(context, "sparse-assemble") as scope:
         chain = assemble_sparse_chain(
             query.kernel,
@@ -144,7 +140,7 @@ def evaluate_forever_sparse(
             iterations=certificate.iterations,
             certified_bound=certificate.bound,
         )
-    structure["backend"] = effective_backend
+    structure["backend"] = "columnar" if lowered(query) else "frozenset"
     if not certificate.satisfies():
         _observe(context, certificate, "refused")
         raise SolveRefusedError(

@@ -21,10 +21,12 @@ from repro.relational import (
     repair_key,
 )
 from repro.workloads import (
+    complete_graph,
     cycle_graph,
     erdos_renyi,
     random_walk_query,
 )
+from repro.workloads.graphs import WeightedGraph
 from repro.markov import stationary_distribution
 
 
@@ -108,3 +110,44 @@ class TestLimits:
         query, db = random_walk_query(cycle_graph(6), "n0", "n1")
         result = evaluate_forever_exact(query, db)
         assert result.states_explored == 6
+
+
+def _birth_death_two_leaves():
+    """A walk on n0..n4 whose ends absorb: two leaf SCCs, three
+    transient states, down-steps twice as likely as up-steps."""
+    edges = [("n0", "n0", 1), ("n4", "n4", 1)]
+    for i in range(1, 4):
+        edges += [(f"n{i}", f"n{i - 1}", 2), (f"n{i}", f"n{i + 1}", 1)]
+    nodes = [f"n{i}" for i in range(5)]
+    return random_walk_query(WeightedGraph(nodes, edges), "n2", "n0")
+
+
+class TestOneCondensation:
+    """One exact solve condenses its chain once: the absorption solve,
+    each leaf's stationary solve and ``classify`` share that pass."""
+
+    @pytest.mark.parametrize(
+        "build, probability",
+        [
+            (lambda: random_walk_query(complete_graph(16), "n0", "n4"), Fraction(1, 16)),
+            (lambda: random_walk_query(cycle_graph(64), "n0", "n9"), Fraction(1, 64)),
+            # Gambler's ruin from 2 of 4 with r = 2: (r^2 - r^4) / (1 - r^4).
+            (_birth_death_two_leaves, Fraction(4, 5)),
+        ],
+        ids=["complete16", "cycle64", "birth-death-two-leaves"],
+    )
+    def test_condenses_once(self, monkeypatch, build, probability):
+        import networkx as nx
+
+        calls = []
+        condensation = nx.condensation
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return condensation(*args, **kwargs)
+
+        monkeypatch.setattr(nx, "condensation", counted)
+        query, db = build()
+        result = evaluate_forever_exact(query, db)
+        assert result.probability == probability
+        assert len(calls) == 1

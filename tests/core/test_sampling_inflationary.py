@@ -128,6 +128,27 @@ class TestEvaluator:
         result = evaluate_inflationary_sampling(query, db, samples=2000, rng=13)
         assert abs(result.estimate - 0.25) < 0.05
 
+    def test_pc_table_workers_memoize_the_pc_free_kernel(self):
+        """Workers' fixpoint memo enumerates the pc-free kernel, as the
+        sequential sampler's does: caching changes no estimate."""
+        from repro.perf import ParallelConfig
+
+        pc = PCDatabase(
+            {"A": CTable(("L",), [(("t",), var_eq("x", 1))])},
+            {"x": boolean_variable(Fraction(1, 4))},
+        )
+        kernel = Interpretation({}, pc_tables=pc)
+        db = Database({"A": Relation(("L",), [])})
+        query = InflationaryQuery(kernel, TupleIn("A", ("t",)))
+        runs = [
+            evaluate_inflationary_sampling(
+                query, db, samples=200, rng=13, cache_size=cache_size,
+                parallel=ParallelConfig(workers=2),
+            )
+            for cache_size in (None, 8)
+        ]
+        assert runs[0].positive == runs[1].positive
+
     def test_details_reported(self):
         query, db = reachability_query(example_36_graph(), "a", "b")
         result = evaluate_inflationary_sampling(query, db, samples=20, rng=2)

@@ -1,4 +1,4 @@
-"""Unit tests for the columnar compiler: eligibility, fallback, events."""
+"""Unit tests for the columnar compiler: eligibility, lowering, events."""
 
 from __future__ import annotations
 
@@ -8,23 +8,24 @@ from fractions import Fraction
 import pytest
 
 from repro.core import ForeverQuery
-from repro.core.events import TupleIn
-from repro.core.evaluation.backend import (
-    check_backend,
-    fallback_total,
-    resolve_backend,
-)
+from repro.core.events import QueryEvent, TupleIn
 from repro.core.interpretation import Interpretation
-from repro.errors import EvaluationError
 from repro.kernel import (
+    ColumnarDatabase,
     CompiledKernel,
     KernelCompileError,
     compile_event,
     compile_kernel,
     compile_query,
     extern_database,
+    fallback_total,
     kernel_ineligibility,
+    lower,
+    lower_kernel,
+    lowered,
+    source_query,
 )
+from repro.runtime import RunContext
 from repro.relational import Database, Relation, rel
 from repro.relational.algebra import Select
 from repro.relational.predicates import RowPredicate
@@ -54,39 +55,52 @@ def test_compile_query_raises_on_ineligible_kernel():
         compile_query(query, db)
 
 
-def test_resolve_backend_falls_back_with_counter():
+def test_lower_falls_back_with_counter():
     db = Database({"C": Relation(("I",), [("a",)])})
     query = ForeverQuery(opaque_kernel(), TupleIn("C", ("a",)))
+    context = RunContext()
     before = fallback_total()
-    out_query, out_db, effective = resolve_backend(query, db, "columnar")
-    assert effective == "frozenset"
+    out_query, out_db = lower(query, db, context)
     assert out_query is query and out_db is db
+    assert not lowered(out_query)
+    assert fallback_total() == before + 1
+    assert any("columnar backend fallback" in e for e in context.report().events)
+
+
+def test_lower_kernel_falls_back_with_counter():
+    db = Database({"C": Relation(("I",), [("a",)])})
+    kernel = opaque_kernel()
+    before = fallback_total()
+    assert lower_kernel(kernel, db) == (kernel, db)
+    assert fallback_total() == before + 1
+    query, db = random_walk_query(cycle_graph(4), "n0", "n2")
+    compiled, initial = lower_kernel(query.kernel, db)
+    assert isinstance(compiled, CompiledKernel)
+    assert isinstance(initial, ColumnarDatabase)
+
+
+def test_lower_compiles_the_event_onto_a_compiled_kernel():
+    query, db = random_walk_query(cycle_graph(4), "n0", "n2")
+    kernel, initial = compile_kernel(query.kernel, db)
+    out_query, out_db = lower(ForeverQuery(kernel, query.event), initial)
+    assert out_query.kernel is kernel and out_db is initial
+    assert out_query.event.source is query.event
+    # A foreign event on a compiled kernel falls back to the source pair.
+    foreign = ForeverQuery(kernel, QueryEvent())
+    before = fallback_total()
+    source, source_db = lower(foreign, initial)
+    assert source.kernel is query.kernel and source_db == db
     assert fallback_total() == before + 1
 
 
-def test_resolve_backend_falls_back_on_checkpointing_and_cache():
+def test_lower_passes_lowered_through():
     query, db = random_walk_query(cycle_graph(4), "n0", "n2")
-    _, _, effective = resolve_backend(query, db, "columnar", checkpointing=True)
-    assert effective == "frozenset"
-    _, _, effective = resolve_backend(query, db, "columnar", cache=object())
-    assert effective == "frozenset"
-
-
-def test_resolve_backend_passes_compiled_through():
-    query, db = random_walk_query(cycle_graph(4), "n0", "n2")
-    compiled = compile_query(query, db)
-    out_query, out_db, effective = resolve_backend(
-        compiled.query, compiled.initial, "columnar", cache=object()
-    )
-    assert effective == "columnar"
-    assert isinstance(out_query.kernel, CompiledKernel)
-
-
-def test_check_backend_rejects_unknown():
-    assert check_backend(None) == "frozenset"
-    assert check_backend("columnar") == "columnar"
-    with pytest.raises(EvaluationError):
-        check_backend("sparse")
+    lowered_query, initial = lower(query, db)
+    assert lowered(lowered_query)
+    assert lower(lowered_query, initial) == (lowered_query, initial)
+    source = source_query(lowered_query)
+    assert source.kernel is query.kernel and source.event is query.event
+    assert source_query(query) is query
 
 
 def test_compile_event_shared_kernel_across_events():

@@ -21,15 +21,17 @@ SCRIPT = r"""
 import json, random, sys
 from fractions import Fraction
 from repro.core import evaluate_forever_mcmc, evaluate_inflationary_sampling
+from repro.kernel import lower
 from repro.workloads import (
     cycle_graph, layered_dag, random_walk_query, reachability_query,
 )
 
-backend = sys.argv[1] if len(sys.argv) > 1 else None
+columnar = len(sys.argv) > 1
+on_kernel = lower if columnar else (lambda query, db: (query, db))
 
 query, db = random_walk_query(cycle_graph(6), "n0", "n3")
 mcmc = evaluate_forever_mcmc(
-    query, db, samples=120, burn_in=4, rng=7, backend=backend
+    *on_kernel(query, db), samples=120, burn_in=4, rng=7
 )
 
 rng = random.Random(21)
@@ -43,7 +45,7 @@ reach_query, reach_db = reachability_query(
     layered_dag(2, 3, rng=random.Random(3)), "v0_0", "sink"
 )
 infl = evaluate_inflationary_sampling(
-    reach_query, reach_db, samples=80, rng=5, backend=backend
+    *on_kernel(reach_query, reach_db), samples=80, rng=5
 )
 
 print(json.dumps({

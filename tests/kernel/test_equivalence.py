@@ -22,7 +22,7 @@ from repro.core import (
     evaluate_forever_mcmc,
     evaluate_inflationary_sampling,
 )
-from repro.kernel import compile_query, extern_database
+from repro.kernel import compile_query, extern_database, lower
 from repro.workloads import (
     barbell_graph,
     complete_graph,
@@ -90,13 +90,13 @@ def test_sampled_trajectories_and_rng_stream_identical(name):
 def test_forever_exact_and_lumped_identical(name):
     query, db = CASES[name]()
     result_f = evaluate_forever_exact(query, db)
-    result_c = evaluate_forever_exact(query, db, backend="columnar")
+    result_c = evaluate_forever_exact(*lower(query, db))
     assert result_c.probability == result_f.probability
     assert result_c.states_explored == result_f.states_explored
     assert result_c.details.get("backend") == "columnar"
 
     lumped_f = evaluate_forever_lumped(query, db)
-    lumped_c = evaluate_forever_lumped(query, db, backend="columnar")
+    lumped_c = evaluate_forever_lumped(*lower(query, db))
     assert lumped_c.probability == lumped_f.probability
     assert lumped_c.details["quotient_states"] == lumped_f.details["quotient_states"]
 
@@ -107,7 +107,7 @@ def test_forever_mcmc_bit_identical_for_fixed_seed():
         query, db, samples=300, burn_in=5, rng=11
     )
     result_c = evaluate_forever_mcmc(
-        query, db, samples=300, burn_in=5, rng=11, backend="columnar"
+        *lower(query, db), samples=300, burn_in=5, rng=11
     )
     assert result_c.estimate == result_f.estimate
     assert result_c.positive == result_f.positive
@@ -118,7 +118,7 @@ def test_inflationary_sampling_bit_identical_for_fixed_seed():
     query, db = CASES["reach-dag"]()
     result_f = evaluate_inflationary_sampling(query, db, samples=150, rng=5)
     result_c = evaluate_inflationary_sampling(
-        query, db, samples=150, rng=5, backend="columnar"
+        *lower(query, db), samples=150, rng=5
     )
     assert result_c.estimate == result_f.estimate
     assert result_c.positive == result_f.positive
@@ -133,10 +133,11 @@ def test_parallel_workers_match_columnar():
         parallel=ParallelConfig(workers=2),
     )
     result_c = evaluate_forever_mcmc(
-        query, db, samples=48, burn_in=4, rng=9,
-        parallel=ParallelConfig(workers=2), backend="columnar",
+        *lower(query, db), samples=48, burn_in=4, rng=9,
+        parallel=ParallelConfig(workers=2),
     )
     assert result_c.estimate == result_f.estimate
+    assert result_c.details.get("backend") == "columnar"
 
 
 def test_enumerated_transition_matches_repair_distribution():

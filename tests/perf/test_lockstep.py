@@ -24,7 +24,7 @@ from repro.core.events import parse_event
 from repro.core.queries import ForeverQuery
 from repro.errors import BudgetExceededError, FaultInjectedError, RunCancelledError
 from repro.faults import SITE_SAMPLER_SAMPLE, FaultPlan, FaultSpec
-from repro.kernel import compile_query
+from repro.kernel import lower
 from repro.perf import ParallelConfig, TransitionCache, warm_pool_stats
 from repro.perf.supervisor import HEARTBEAT_TIMEOUT_ENV
 from repro.relational import Database, Relation
@@ -86,8 +86,7 @@ PROGRAMS = {
 def _prepared(program: str, backend: str):
     query, db = PROGRAMS[program]()
     if backend == "columnar":
-        compiled = compile_query(query, db)
-        return compiled.query, compiled.initial
+        return lower(query, db)
     return query, db
 
 
@@ -131,7 +130,7 @@ class TestMatchesReference:
             rng, expected_rng = random.Random(seed), random.Random(seed)
             result = evaluate_forever_mcmc(
                 query, initial, samples=samples, burn_in=burn_in, rng=rng,
-                cache=cache, backend=backend,
+                cache=cache,
             )
             expected = reference(
                 query, initial, samples, burn_in, expected_rng, expected_cache
@@ -237,10 +236,10 @@ class TestWorkers:
         "program, positive", [("walk", 48), ("pagerank", 55)]
     )
     def test_two_workers_keep_their_seeded_tallies(self, program, positive, backend):
-        query, db = PROGRAMS[program]()
+        query, db = _prepared(program, backend)
         result = evaluate_forever_mcmc(
             query, db, samples=301, burn_in=9, rng=2026, cache_size=64,
-            parallel=ParallelConfig(workers=2), backend=backend,
+            parallel=ParallelConfig(workers=2),
         )
         assert result.positive == positive
 

@@ -7,7 +7,7 @@ import threading
 import pytest
 
 from repro.errors import ServiceError
-from repro.service import LatencyHistogram, ResultCache, ServiceMetrics
+from repro.service import ResultCache, ServiceMetrics
 
 
 class TestResultCache:
@@ -68,22 +68,6 @@ class TestResultCache:
         for thread in threads:
             thread.join()
         assert len(cache) <= 16
-
-
-class TestLatencyHistogram:
-    def test_bucket_assignment(self):
-        histogram = LatencyHistogram(buckets=(0.1, 1.0))
-        histogram.observe(0.05)
-        histogram.observe(0.5)
-        histogram.observe(10.0)  # overflow bucket
-        snapshot = histogram.as_dict()
-        assert snapshot["buckets"] == [0.1, 1.0, "+Inf"]
-        assert snapshot["counts"] == [1, 1, 1]
-        assert snapshot["count"] == 3
-        assert snapshot["max"] == 10.0
-
-    def test_mean_is_none_when_empty(self):
-        assert LatencyHistogram().as_dict()["mean"] is None
 
 
 class TestServiceMetrics:

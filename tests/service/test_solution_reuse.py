@@ -330,6 +330,32 @@ class TestWhatIsStored:
         assert payload == case.fresh(case.events[1])
         assert not any("reused" in event for event in context.report().events)
 
+    @pytest.mark.parametrize("name", ["inflationary-pc", "datalog-pc"])
+    def test_pc_worlds_are_bounded_one_by_one(self, name):
+        """``max_states`` bounds each pc-table world, so a limit between
+        the largest world and the worlds' sum reads the stored solution,
+        and a limit below the largest world still overflows."""
+        case = _Case(name)
+        session = case.session()
+        solved = session.evaluate(case.request(case.events[0]))["states_explored"]
+        solved_by = session.program if session.program is not None else session.kernel
+        largest = session.solutions.get(solved_by).world_states
+        assert largest < solved
+        event = case.events[1]
+        for limit in (largest, solved - 1):
+            context = RunContext()
+            request = case.request(event, {"max_states": limit})
+            assert session.evaluate(request, context) == case.fresh(
+                event, max_states=limit
+            )
+            assert any(
+                "reused the stored" in line for line in context.report().events
+            ), limit
+        with pytest.raises(StateSpaceLimitExceeded):
+            case.fresh(event, max_states=largest - 1)
+        with pytest.raises(StateSpaceLimitExceeded):
+            session.evaluate(case.request(event, {"max_states": largest - 1}))
+
     def test_a_session_without_a_cache_keeps_nothing(self):
         case = _Case("irreducible")
         assert case.session(cache_size=0).solutions is None

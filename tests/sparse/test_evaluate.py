@@ -6,9 +6,11 @@ from fractions import Fraction
 
 import pytest
 
-from repro.core import evaluate_forever_exact
+from repro.core import ForeverQuery, Interpretation, evaluate_forever_exact
 from repro.errors import SolveRefusedError, StateSpaceLimitExceeded
 from repro.obs import MemorySink, MetricsRegistry, Tracer
+from repro.relational.algebra import Select
+from repro.relational.predicates import RowPredicate
 from repro.runtime import RunContext
 from repro.sparse import CertifiedResult, evaluate_forever_sparse
 from repro.workloads import cycle_graph, random_walk_query
@@ -72,11 +74,19 @@ class TestEvaluate:
         assert solves.value(outcome="refused") == 1.0
 
     def test_forced_frozenset_backend_same_answer(self, walk):
+        # An opaque row predicate keeps the same walk off the kernel:
+        # the rung then streams it off the interpreter.
         query, db = walk
-        columnar = evaluate_forever_sparse(query, db, epsilon=1e-9)
-        frozen = evaluate_forever_sparse(
-            query, db, epsilon=1e-9, backend="frozenset"
+        opaque = ForeverQuery(
+            Interpretation({
+                name: Select(expression, RowPredicate(lambda row: True, ("I",)))
+                for name, expression in query.kernel.queries.items()
+            }),
+            query.event,
         )
+        columnar = evaluate_forever_sparse(query, db, epsilon=1e-9)
+        frozen = evaluate_forever_sparse(opaque, db, epsilon=1e-9)
+        assert columnar.details["backend"] == "columnar"
         assert frozen.details["backend"] == "frozenset"
         assert abs(frozen.probability - columnar.probability) <= (
             frozen.certificate.bound + columnar.certificate.bound

@@ -20,6 +20,7 @@ import repro.core.queries
 import repro.ctables.pctable
 import repro.datalog.engine
 import repro.datalog.parser
+import repro.kernel.lowering
 import repro.markov.chain
 import repro.probability.distribution
 import repro.reductions.cnf
@@ -50,6 +51,7 @@ MODULES = [
     repro.ctables.pctable,
     repro.datalog.engine,
     repro.datalog.parser,
+    repro.kernel.lowering,
     repro.markov.chain,
     repro.probability.distribution,
     repro.reductions.cnf,
