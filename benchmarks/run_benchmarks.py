@@ -318,20 +318,6 @@ def bench_kernel(h: Harness) -> None:
     h.check("kernel_transition_distribution_exact", exact_c == exact_f,
             f"{len(exact_f)} outcomes, exact Fraction weights")
 
-    # Per-operator wall-clock accounting from a compiled run.
-    query, db = family[1][1]
-    compiled = compile_query(query, db)
-    compiled.kernel.timings.reset()
-    evaluate_forever_mcmc(compiled.query, compiled.initial,
-                          samples=samples, burn_in=burn_in, rng=SEED)
-    per_op = {
-        op: {"calls": entry["calls"], "seconds": round(entry["seconds"], 6)}
-        for op, entry in compiled.kernel.op_timings().items()
-    }
-    h.benchmarks["kernel_columnar_complete16"]["op_timings"] = per_op
-    print(f"  op timings (complete16): "
-          + ", ".join(f"{op}={entry['calls']}" for op, entry in per_op.items()))
-
     median_speedup = statistics.median(speedups)
     h.target("kernel_columnar_family_median", median_speedup, 3.0,
              enforced=not h.quick,
@@ -823,7 +809,7 @@ def bench_tracing(h: Harness) -> None:
         disabled = run(context)
         disabled_best = min(disabled_best, time.perf_counter() - start)
         # Profiling on: a live in-memory tracer (what `--trace` and the
-        # service's per-job tracing use), ledger included.
+        # service's per-job tracing use).
         profiled_context = RunContext(tracer=Tracer(MemorySink()))
         start = time.perf_counter()
         profiled = run(profiled_context)
@@ -870,13 +856,13 @@ def bench_tracing(h: Harness) -> None:
     h.target("tracing_disabled_overhead",
              base_best / disabled_best if disabled_best else float("inf"),
              0.98, enforced=not h.quick,
-             note="no-op tracer + RunContext vs bare evaluator; "
+             note="RunContext with its span recorder vs bare evaluator; "
                   "target 0.98x = < 2% overhead")
     # < 3% profiling-on overhead <=> speed ratio stays above 0.97.
     h.target("tracing_profiled_overhead",
              base_best / profiled_best if profiled_best else float("inf"),
              0.97, enforced=not h.quick,
-             note="live tracer + ledger (profiling on) vs bare evaluator; "
+             note="live tracer (profiling on) vs bare evaluator; "
                   "target 0.97x = < 3% overhead")
 
 

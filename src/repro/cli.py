@@ -311,7 +311,7 @@ def _command_report(args: argparse.Namespace, context: RunContext) -> dict:
 
 
 def _command_profile(args: argparse.Namespace, context: RunContext) -> dict:
-    """EXPLAIN-ANALYZE for one run: span tree, reconciliation, ledger.
+    """EXPLAIN-ANALYZE for one run: span tree and exclusive phase totals.
 
     The target is either a local JSONL trace file (written by
     ``--trace``) or a job id on a running service (``--url``).
@@ -1092,8 +1092,8 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
     profile = subparsers.add_parser(
         "profile",
-        help="EXPLAIN-ANALYZE one run: span tree with exclusive timings, "
-        "phase reconciliation, and the resource ledger",
+        help="EXPLAIN-ANALYZE one run: span tree with exclusive timings "
+        "and per-phase totals",
         parents=[common],
     )
     profile.add_argument(

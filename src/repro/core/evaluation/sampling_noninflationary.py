@@ -318,6 +318,7 @@ def evaluate_forever_mcmc(
     from repro.runtime.checkpoint import (
         KIND_FOREVER_MCMC,
         Checkpoint,
+        legacy_run_fingerprint,
         run_fingerprint,
     )
 
@@ -328,13 +329,12 @@ def evaluate_forever_mcmc(
     fingerprint = None
     if checkpoint_path is not None or resume is not None:
         source = source_query(query)
-        fingerprint = run_fingerprint(
-            repr(source.kernel), source_database(initial), repr(source.event)
-        )
+        run = (source.kernel, source_database(initial), source.event)
+        fingerprint = run_fingerprint(*run)
 
     checkpoint = _load_resume(resume)
     if checkpoint is not None:
-        checkpoint.verify_fingerprint(fingerprint)
+        checkpoint.verify_fingerprint(fingerprint, legacy_run_fingerprint(*run))
         burn_in = checkpoint.burn_in
         planned = checkpoint.planned
         recorded_epsilon = checkpoint.epsilon

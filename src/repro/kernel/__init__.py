@@ -21,7 +21,6 @@ from repro.kernel.compile import (
     CompiledKernel,
     CompiledQuery,
     KernelCompileError,
-    OpTimings,
     compile_event,
     compile_kernel,
     compile_query,
@@ -51,7 +50,6 @@ __all__ = [
     "CompiledEvent",
     "CompiledQuery",
     "KernelCompileError",
-    "OpTimings",
     "compile_kernel",
     "compile_event",
     "compile_query",

@@ -31,7 +31,6 @@ load: a lowered query crosses process boundaries as it is.
 from __future__ import annotations
 
 import random
-import time
 from typing import Any, Callable, Iterable
 
 import numpy as np
@@ -63,7 +62,6 @@ from repro.relational.database import Database
 
 __all__ = [
     "KernelCompileError",
-    "OpTimings",
     "CompiledKernel",
     "CompiledEvent",
     "CompiledQuery",
@@ -76,32 +74,6 @@ __all__ = [
 
 class KernelCompileError(ReproError):
     """The program cannot be lowered to the columnar kernel."""
-
-
-class OpTimings:
-    """Cumulative per-operator wall-clock accounting for one kernel."""
-
-    __slots__ = ("_data",)
-
-    def __init__(self) -> None:
-        self._data: dict[str, list] = {}
-
-    def record(self, op: str, seconds: float) -> None:
-        entry = self._data.get(op)
-        if entry is None:
-            self._data[op] = [1, seconds]
-        else:
-            entry[0] += 1
-            entry[1] += seconds
-
-    def snapshot(self) -> dict[str, dict[str, float]]:
-        return {
-            op: {"calls": calls, "seconds": seconds}
-            for op, (calls, seconds) in sorted(self._data.items())
-        }
-
-    def reset(self) -> None:
-        self._data.clear()
 
 
 # ---------------------------------------------------------------------------
@@ -224,13 +196,11 @@ def _event_constants(event: QueryEvent, out: set) -> None:
 class _Node:
     """One compiled operator; ``columns`` is the static output schema."""
 
-    __slots__ = ("columns", "deterministic", "table", "timings")
-    op = "?"
+    __slots__ = ("columns", "deterministic", "table")
 
-    def __init__(self, columns: tuple[str, ...], table: SymbolTable, timings: OpTimings):
+    def __init__(self, columns: tuple[str, ...], table: SymbolTable):
         self.columns = columns
         self.table = table
-        self.timings = timings
         self.deterministic = True
 
     # Deterministic evaluation; only called when self.deterministic.
@@ -258,11 +228,10 @@ class _Node:
 
 
 class _RefNode(_Node):
-    op = "ref"
     __slots__ = ("name",)
 
-    def __init__(self, name, columns, table, timings):
-        super().__init__(columns, table, timings)
+    def __init__(self, name, columns, table):
+        super().__init__(columns, table)
         self.name = name
 
     def evaluate(self, db):
@@ -270,11 +239,10 @@ class _RefNode(_Node):
 
 
 class _LitNode(_Node):
-    op = "literal"
     __slots__ = ("relation",)
 
-    def __init__(self, relation, table, timings):
-        super().__init__(relation.columns, table, timings)
+    def __init__(self, relation, table):
+        super().__init__(relation.columns, table)
         self.relation = relation
 
     def evaluate(self, db):
@@ -284,18 +252,12 @@ class _LitNode(_Node):
 class _UnaryNode(_Node):
     __slots__ = ("child",)
 
-    def __init__(self, child, columns, table, timings):
-        super().__init__(columns, table, timings)
+    def __init__(self, child, columns, table):
+        super().__init__(columns, table)
         self.child = child
         self.deterministic = child.deterministic
 
     def apply(self, relation: ColumnarRelation) -> ColumnarRelation:
-        start = time.perf_counter()
-        out = self._apply(relation)
-        self.timings.record(self.op, time.perf_counter() - start)
-        return out
-
-    def _apply(self, relation: ColumnarRelation) -> ColumnarRelation:
         raise NotImplementedError
 
     def evaluate(self, db):
@@ -311,19 +273,13 @@ class _UnaryNode(_Node):
 class _BinaryNode(_Node):
     __slots__ = ("left", "right")
 
-    def __init__(self, left, right, columns, table, timings):
-        super().__init__(columns, table, timings)
+    def __init__(self, left, right, columns, table):
+        super().__init__(columns, table)
         self.left = left
         self.right = right
         self.deterministic = left.deterministic and right.deterministic
 
     def apply(self, left: ColumnarRelation, right: ColumnarRelation) -> ColumnarRelation:
-        start = time.perf_counter()
-        out = self._apply(left, right)
-        self.timings.record(self.op, time.perf_counter() - start)
-        return out
-
-    def _apply(self, left, right):
         raise NotImplementedError
 
     def evaluate(self, db):
@@ -342,14 +298,13 @@ class _BinaryNode(_Node):
 
 
 class _SelectNode(_UnaryNode):
-    op = "select"
     __slots__ = ("mask_fn",)
 
-    def __init__(self, child, mask_fn, table, timings):
-        super().__init__(child, child.columns, table, timings)
+    def __init__(self, child, mask_fn, table):
+        super().__init__(child, child.columns, table)
         self.mask_fn = mask_fn
 
-    def _apply(self, relation):
+    def apply(self, relation):
         if len(relation) == 0:
             return relation
         mask = self.mask_fn(relation.data)
@@ -358,37 +313,34 @@ class _SelectNode(_UnaryNode):
 
 
 class _ProjectNode(_UnaryNode):
-    op = "project"
     __slots__ = ("indices",)
 
-    def __init__(self, child, columns, indices, table, timings):
-        super().__init__(child, columns, table, timings)
+    def __init__(self, child, columns, indices, table):
+        super().__init__(child, columns, table)
         self.indices = indices
 
-    def _apply(self, relation):
+    def apply(self, relation):
         return ColumnarRelation(
             self.columns, ops.project(relation.data, self.indices), normalized=True
         )
 
 
 class _RenameNode(_UnaryNode):
-    op = "rename"
     __slots__ = ()
 
-    def _apply(self, relation):
+    def apply(self, relation):
         return ColumnarRelation(self.columns, relation.data, normalized=True)
 
 
 class _ExtendedProjectNode(_UnaryNode):
-    op = "extended-project"
     __slots__ = ("sources",)
 
-    def __init__(self, child, columns, sources, table, timings):
+    def __init__(self, child, columns, sources, table):
         # sources: list of ("col", index) | ("const", symbol_id)
-        super().__init__(child, columns, table, timings)
+        super().__init__(child, columns, table)
         self.sources = sources
 
-    def _apply(self, relation):
+    def apply(self, relation):
         n = len(relation)
         parts = []
         for kind, value in self.sources:
@@ -404,10 +356,9 @@ class _ExtendedProjectNode(_UnaryNode):
 
 
 class _UnionNode(_BinaryNode):
-    op = "union"
     __slots__ = ()
 
-    def _apply(self, left, right):
+    def apply(self, left, right):
         return ColumnarRelation(
             self.columns,
             ops.union(left.data, right.data, len(self.table)),
@@ -416,10 +367,9 @@ class _UnionNode(_BinaryNode):
 
 
 class _DifferenceNode(_BinaryNode):
-    op = "difference"
     __slots__ = ()
 
-    def _apply(self, left, right):
+    def apply(self, left, right):
         return ColumnarRelation(
             self.columns,
             ops.difference(left.data, right.data, len(self.table)),
@@ -428,21 +378,19 @@ class _DifferenceNode(_BinaryNode):
 
 
 class _ProductNode(_BinaryNode):
-    op = "product"
     __slots__ = ()
 
-    def _apply(self, left, right):
+    def apply(self, left, right):
         return ColumnarRelation(
             self.columns, ops.product(left.data, right.data), normalized=True
         )
 
 
 class _JoinNode(_BinaryNode):
-    op = "join"
     __slots__ = ("left_shared", "right_shared", "right_keep")
 
-    def __init__(self, left, right, columns, table, timings):
-        super().__init__(left, right, columns, table, timings)
+    def __init__(self, left, right, columns, table):
+        super().__init__(left, right, columns, table)
         shared = [c for c in left.columns if c in right.columns]
         self.left_shared = [left.columns.index(c) for c in shared]
         self.right_shared = [right.columns.index(c) for c in shared]
@@ -450,7 +398,7 @@ class _JoinNode(_BinaryNode):
             i for i, c in enumerate(right.columns) if c not in left.columns
         ]
 
-    def _apply(self, left, right):
+    def apply(self, left, right):
         if not self.left_shared:
             data = ops.product(left.data, right.data)
             return ColumnarRelation(self.columns, data, normalized=True)
@@ -466,21 +414,17 @@ class _JoinNode(_BinaryNode):
 
 
 class _RepairNode(_UnaryNode):
-    op = "repair-key"
     __slots__ = ("key", "weight")
 
-    def __init__(self, child, key, weight, table, timings):
-        super().__init__(child, child.columns, table, timings)
+    def __init__(self, child, key, weight, table):
+        super().__init__(child, child.columns, table)
         self.key = key
         self.weight = weight
         self.deterministic = False
 
     def _sample(self, db, rng):
         child = self.child.sample(db, rng)
-        start = time.perf_counter()
-        out = sample_repair_columnar(child, self.table, rng, self.key, self.weight)
-        self.timings.record(self.op, time.perf_counter() - start)
-        return out
+        return sample_repair_columnar(child, self.table, rng, self.key, self.weight)
 
     def _enumerate(self, db):
         child = self.child.enumerate(db)
@@ -550,29 +494,28 @@ def _compile_expression(
     expr: Expression,
     schema: dict[str, tuple[str, ...]],
     table: SymbolTable,
-    timings: OpTimings,
 ) -> _Node:
     if isinstance(expr, algebra.RelationRef):
-        return _RefNode(expr.name, expr.output_columns(schema), table, timings)
+        return _RefNode(expr.name, expr.output_columns(schema), table)
     if isinstance(expr, algebra.Literal):
         from repro.kernel.columnar import intern_relation
 
-        return _LitNode(intern_relation(expr.relation, table), table, timings)
+        return _LitNode(intern_relation(expr.relation, table), table)
     if isinstance(expr, algebra.Select):
-        child = _compile_expression(expr.child, schema, table, timings)
+        child = _compile_expression(expr.child, schema, table)
         mask_fn = _compile_predicate(expr.predicate, child.columns, table)
-        return _SelectNode(child, mask_fn, table, timings)
+        return _SelectNode(child, mask_fn, table)
     if isinstance(expr, algebra.Project):
-        child = _compile_expression(expr.child, schema, table, timings)
+        child = _compile_expression(expr.child, schema, table)
         indices = [child.columns.index(c) for c in expr.columns]
-        return _ProjectNode(child, tuple(expr.columns), indices, table, timings)
+        return _ProjectNode(child, tuple(expr.columns), indices, table)
     if isinstance(expr, algebra.Rename):
-        child = _compile_expression(expr.child, schema, table, timings)
+        child = _compile_expression(expr.child, schema, table)
         renamed = tuple(expr.mapping.get(c, c) for c in child.columns)
-        node = _RenameNode(child, renamed, table, timings)
+        node = _RenameNode(child, renamed, table)
         return node
     if isinstance(expr, algebra.ExtendedProject):
-        child = _compile_expression(expr.child, schema, table, timings)
+        child = _compile_expression(expr.child, schema, table)
         columns = tuple(name for name, _source in expr.outputs)
         sources = []
         for _name, (kind, value) in expr.outputs:
@@ -580,29 +523,29 @@ def _compile_expression(
                 sources.append(("col", child.columns.index(value)))
             else:
                 sources.append(("const", table.intern(value)))
-        return _ExtendedProjectNode(child, columns, sources, table, timings)
+        return _ExtendedProjectNode(child, columns, sources, table)
     if isinstance(expr, algebra.Union):
-        left = _compile_expression(expr.left, schema, table, timings)
-        right = _compile_expression(expr.right, schema, table, timings)
-        return _UnionNode(left, right, left.columns, table, timings)
+        left = _compile_expression(expr.left, schema, table)
+        right = _compile_expression(expr.right, schema, table)
+        return _UnionNode(left, right, left.columns, table)
     if isinstance(expr, algebra.Difference):
-        left = _compile_expression(expr.left, schema, table, timings)
-        right = _compile_expression(expr.right, schema, table, timings)
-        return _DifferenceNode(left, right, left.columns, table, timings)
+        left = _compile_expression(expr.left, schema, table)
+        right = _compile_expression(expr.right, schema, table)
+        return _DifferenceNode(left, right, left.columns, table)
     if isinstance(expr, algebra.Product):
-        left = _compile_expression(expr.left, schema, table, timings)
-        right = _compile_expression(expr.right, schema, table, timings)
-        return _ProductNode(left, right, left.columns + right.columns, table, timings)
+        left = _compile_expression(expr.left, schema, table)
+        right = _compile_expression(expr.right, schema, table)
+        return _ProductNode(left, right, left.columns + right.columns, table)
     if isinstance(expr, algebra.NaturalJoin):
-        left = _compile_expression(expr.left, schema, table, timings)
-        right = _compile_expression(expr.right, schema, table, timings)
+        left = _compile_expression(expr.left, schema, table)
+        right = _compile_expression(expr.right, schema, table)
         columns = left.columns + tuple(
             c for c in right.columns if c not in left.columns
         )
-        return _JoinNode(left, right, columns, table, timings)
+        return _JoinNode(left, right, columns, table)
     if isinstance(expr, algebra.RepairKey):
-        child = _compile_expression(expr.child, schema, table, timings)
-        return _RepairNode(child, tuple(expr.key), expr.weight, table, timings)
+        child = _compile_expression(expr.child, schema, table)
+        return _RepairNode(child, tuple(expr.key), expr.weight, table)
     raise KernelCompileError(
         f"expression node {type(expr).__name__} is not kernel-lowerable"
     )
@@ -703,33 +646,32 @@ def _compile_event(
     event: QueryEvent,
     schema: dict[str, tuple[str, ...]],
     table: SymbolTable,
-    timings: OpTimings,
 ) -> CompiledEvent:
     if isinstance(event, TupleIn):
         return _CTupleIn(event.relation, tuple(event.row), table)
     if isinstance(event, RelationNonEmpty):
         return _CNonEmpty(event.relation)
     if isinstance(event, ExpressionEvent):
-        plan = _compile_expression(event.expression, schema, table, timings)
+        plan = _compile_expression(event.expression, schema, table)
         return _CExpression(plan)
     if isinstance(event, AndEvent):
         return _CBool(
             "and",
             (
-                _compile_event(event.left, schema, table, timings),
-                _compile_event(event.right, schema, table, timings),
+                _compile_event(event.left, schema, table),
+                _compile_event(event.right, schema, table),
             ),
         )
     if isinstance(event, OrEvent):
         return _CBool(
             "or",
             (
-                _compile_event(event.left, schema, table, timings),
-                _compile_event(event.right, schema, table, timings),
+                _compile_event(event.left, schema, table),
+                _compile_event(event.right, schema, table),
             ),
         )
     if isinstance(event, NotEvent):
-        return _CBool("not", (_compile_event(event.inner, schema, table, timings),))
+        return _CBool("not", (_compile_event(event.inner, schema, table),))
     raise KernelCompileError(
         f"event type {type(event).__name__} is not kernel-lowerable"
     )
@@ -757,14 +699,12 @@ class CompiledKernel:
         interpretation,
         table: SymbolTable,
         plans: dict[str, _Node],
-        timings: OpTimings,
         schema: dict[str, tuple[str, ...]],
     ):
         self.interpretation = interpretation
         self.queries = interpretation.queries
         self.table = table
         self.plans = plans
-        self.timings = timings
         self.schema_map = schema
         self._sorted_names = sorted(plans)
 
@@ -825,11 +765,6 @@ class CompiledKernel:
     def is_deterministic(self) -> bool:
         return self.interpretation.is_deterministic()
 
-    def op_timings(self) -> dict[str, dict[str, float]]:
-        """Cumulative per-operator wall-clock totals since compile (or
-        the last reset)."""
-        return self.timings.snapshot()
-
     def __repr__(self) -> str:
         return (
             f"CompiledKernel(queries={self._sorted_names!r}, "
@@ -843,16 +778,15 @@ class CompiledKernel:
 def _recompile_kernel(interpretation, table: SymbolTable, schema) -> CompiledKernel:
     """Plan ``interpretation`` against an existing symbol table (the
     unpickling half of :meth:`CompiledKernel.__reduce__`)."""
-    timings = OpTimings()
     plans = {
-        name: _compile_expression(expression, schema, table, timings)
+        name: _compile_expression(expression, schema, table)
         for name, expression in sorted(interpretation.queries.items())
     }
-    return CompiledKernel(interpretation, table, plans, timings, schema)
+    return CompiledKernel(interpretation, table, plans, schema)
 
 
 def _recompile_event(event: QueryEvent, kernel: CompiledKernel) -> CompiledEvent:
-    compiled = _compile_event(event, kernel.schema_map, kernel.table, kernel.timings)
+    compiled = _compile_event(event, kernel.schema_map, kernel.table)
     compiled.source, compiled.kernel = event, kernel
     return compiled
 
@@ -869,9 +803,6 @@ class CompiledQuery:
         self.kernel = kernel
         self.event = event
         self.table = table
-
-    def op_timings(self) -> dict[str, dict[str, float]]:
-        return self.kernel.op_timings()
 
 
 def compile_kernel(

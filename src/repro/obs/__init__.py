@@ -15,7 +15,6 @@ from repro.obs.metrics import (
 )
 from repro.obs.profile import (
     PROFILE_VERSION,
-    ResourceLedger,
     SpanBuffer,
     drain_worker_spans,
     folded_stacks,
@@ -50,6 +49,7 @@ from repro.obs.trace import (
     NULL_TRACER,
     NullTracer,
     Sink,
+    SpanRecorder,
     TRACE_SCHEMA_VERSION,
     Tracer,
     TraceSpan,
@@ -69,9 +69,9 @@ __all__ = [
     "NULL_TRACER",
     "NullTracer",
     "PROFILE_VERSION",
-    "ResourceLedger",
     "Sink",
     "SpanBuffer",
+    "SpanRecorder",
     "TRACE_SCHEMA_VERSION",
     "TraceSchemaError",
     "TraceSpan",

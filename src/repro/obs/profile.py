@@ -1,11 +1,10 @@
-"""End-to-end query profiling: worker span buffers, resource ledgers,
-and EXPLAIN-ANALYZE-style rendering.
+"""End-to-end query profiling: worker span buffers, exclusive phase
+totals, and EXPLAIN-ANALYZE-style rendering.
 
-PR 5's tracer stops at process boundaries: spans recorded inside the
+A run's spans stop at process boundaries: spans recorded inside the
 supervisor's warm workers (trial chunks, pooled partition components)
-never reach the parent's sink, so a slow partitioned query cannot be
-attributed to a component, rung, or operator.  This module closes the
-gap in three pieces:
+never reach the parent's sink on their own.  This module closes the gap
+and reads the result:
 
 * :class:`SpanBuffer` — a :class:`~repro.obs.trace.Tracer` writing to a
   bounded in-memory sink whose records are plain picklable dicts.
@@ -17,26 +16,21 @@ gap in three pieces:
   re-parented under the dispatching span, and every stitched span is
   labelled with ``worker_id`` / ``spawn_generation`` so the trace shows
   *which* worker (and which restart generation) did the work.
-* :class:`ResourceLedger` — a per-run structured ledger on
-  :class:`~repro.runtime.context.RunReport` aggregating what was
-  previously scattered across result details: states explored,
-  transition-cache hits/misses/evictions, kernel ``OpTimings`` per
-  operator, sparse-solver iterations and certificate bounds, retries,
-  shed decisions, and per-component (ε, δ) — keyed by
-  phase/component/rung.
+* :func:`phase_totals` — the one exclusive-time function: per span
+  name, exclusive wall and CPU seconds and the span count.
+  ``RunReport.phases``, ``repro report`` and the profile all read it.
 
 Rendering lives here too: :func:`profile_payload` builds the JSON shape
 served at ``GET /v1/jobs/<id>/profile``; :func:`render_profile` prints
-the plan → component → rung → phase → kernel-op cost tree with
-exclusive wall/CPU, and :func:`folded_stacks` emits folded-stack lines
+the plan → component → rung → phase cost tree with exclusive wall/CPU,
+and :func:`folded_stacks` emits folded-stack lines
 (``frame;frame;frame <microseconds>``) consumable by standard
 flamegraph tooling.
 
 Exclusive-time convention: a span's exclusive wall is its inclusive
 wall minus the inclusive wall of its *local* children.  Spans stitched
 from worker processes ran concurrently with their parent, so they are
-excluded from the subtraction — that is what lets the tree's per-phase
-totals reconcile with the (exclusive) ``RunReport.phases`` accounting.
+excluded from the subtraction, and from the phase totals.
 """
 
 from __future__ import annotations
@@ -46,7 +40,9 @@ from typing import Any, Iterable, Mapping
 from repro.obs.trace import MemorySink, NullTracer, Tracer
 
 #: Version of the profile payload shape served over HTTP.
-PROFILE_VERSION = 1
+#: v2: no ``ledger`` and no ``span_phase_totals`` (``phases`` are the
+#: spans' exclusive totals already).
+PROFILE_VERSION = 2
 
 #: Default cap on step events recorded inside one worker task.
 WORKER_MAX_EVENTS = 512
@@ -175,115 +171,6 @@ def stitch_spans(
 
 
 # ---------------------------------------------------------------------------
-# Resource ledger
-# ---------------------------------------------------------------------------
-
-
-class ResourceLedger:
-    """Structured per-run resource accounting, keyed by phase/component/rung.
-
-    Rows are created/merged by :meth:`add`; repeated adds under the same
-    key sum their counters (so per-chunk retries accumulate).  Kernel
-    operator timings are a separate table keyed by operator name.  The
-    whole ledger serialises deterministically (sorted keys) via
-    :meth:`as_dict`, which is what rides on ``RunReport.ledger`` and the
-    job payload.
-    """
-
-    __slots__ = ("_rows", "_kernel_ops")
-
-    def __init__(self) -> None:
-        self._rows: dict[tuple[str, str, str], dict[str, float]] = {}
-        self._kernel_ops: dict[str, dict[str, float]] = {}
-
-    @property
-    def empty(self) -> bool:
-        return not self._rows and not self._kernel_ops
-
-    def add(
-        self,
-        phase: str,
-        *,
-        component: str = "",
-        rung: str = "",
-        **counters: float,
-    ) -> None:
-        """Accumulate numeric counters under (phase, component, rung)."""
-        key = (phase, component, rung)
-        row = self._rows.get(key)
-        if row is None:
-            row = self._rows[key] = {}
-        for name, value in counters.items():
-            if value is None:
-                continue
-            row[name] = row.get(name, 0.0) + float(value)
-
-    def record_kernel_ops(
-        self, snapshot: Mapping[str, Mapping[str, float]]
-    ) -> None:
-        """Accumulate a kernel ``OpTimings.snapshot()`` delta."""
-        for op, timing in snapshot.items():
-            entry = self._kernel_ops.get(op)
-            if entry is None:
-                entry = self._kernel_ops[op] = {"calls": 0.0, "seconds": 0.0}
-            entry["calls"] += float(timing.get("calls", 0))
-            entry["seconds"] += float(timing.get("seconds", 0.0))
-
-    def merge_dict(self, payload: Mapping[str, Any] | None) -> None:
-        """Absorb a serialised ledger (e.g. shipped back from a worker)."""
-        if not payload:
-            return
-        for row in payload.get("rows", ()):
-            self.add(
-                row.get("phase", ""),
-                component=row.get("component") or "",
-                rung=row.get("rung") or "",
-                **row.get("counters", {}),
-            )
-        self.record_kernel_ops(payload.get("kernel_ops", {}))
-
-    def as_dict(
-        self, *, cache: Mapping[str, Any] | None = None
-    ) -> dict[str, Any]:
-        """Deterministic JSON shape; optionally folds cache stats in
-        as a ``transition-cache`` row (computed fresh, not stored, so
-        calling twice cannot double-count)."""
-        rows = dict(self._rows)
-        if cache:
-            stats = {
-                name: float(value)
-                for name, value in cache.items()
-                if isinstance(value, (int, float)) and not isinstance(value, bool)
-            }
-            if stats:
-                key = ("transition-cache", "", "")
-                merged = dict(rows.get(key, {}))
-                for name, value in stats.items():
-                    merged[name] = merged.get(name, 0.0) + value
-                rows[key] = merged
-        return {
-            "rows": [
-                {
-                    "phase": phase,
-                    "component": component or None,
-                    "rung": rung or None,
-                    "counters": {
-                        name: row[name] for name in sorted(row)
-                    },
-                }
-                for (phase, component, rung), row in sorted(rows.items())
-            ],
-            "kernel_ops": {
-                op: {
-                    "calls": self._kernel_ops[op]["calls"],
-                    "seconds": self._kernel_ops[op]["seconds"],
-                }
-                for op in sorted(self._kernel_ops)
-            },
-        }
-
-
-# ---------------------------------------------------------------------------
 # Span tree + renderers
 # ---------------------------------------------------------------------------
 
@@ -348,26 +235,37 @@ def span_tree(records: Iterable[Mapping[str, Any]]) -> list[dict]:
     return roots
 
 
-def phase_totals(tree: Iterable[Mapping[str, Any]]) -> dict[str, float]:
-    """Exclusive wall seconds per span name, over local spans only.
+def phase_totals(tree: Iterable[Mapping[str, Any]]) -> dict[str, dict[str, Any]]:
+    """Exclusive wall/CPU seconds and span count per span name.
 
-    Comparable (within timer noise) to the exclusive accounting in
-    ``RunReport.phases`` — the reconciliation the acceptance gate
-    checks.  Worker-stitched spans are reported under their own names
-    but measured in another process, so they are skipped here.
+    The one exclusive-time function: ``RunReport.phases`` is this over
+    the run's own spans, and ``repro report`` and the profile read it
+    too.  Worker-stitched spans are reported in the tree under their
+    own names but measured in another process, so they are skipped.
+    Totals are rounded like span records (9 decimals), so the same
+    spans give the same totals wherever they are summed.
     """
-    totals: dict[str, float] = {}
+    totals: dict[str, list] = {}
 
     def visit(node: Mapping[str, Any]) -> None:
         if not _is_worker_span(node):
-            name = node["name"]
-            totals[name] = totals.get(name, 0.0) + node["excl_wall_s"]
+            entry = totals.setdefault(node["name"], [0.0, 0.0, 0])
+            entry[0] += node["excl_wall_s"]
+            entry[1] += node["excl_cpu_s"]
+            entry[2] += 1
         for child in node["children"]:
             visit(child)
 
     for root in tree:
         visit(root)
-    return totals
+    return {
+        name: {
+            "wall_seconds": round(wall, 9),
+            "cpu_seconds": round(cpu, 9),
+            "count": count,
+        }
+        for name, (wall, cpu, count) in totals.items()
+    }
 
 
 def _frame_label(node: Mapping[str, Any]) -> str:
@@ -412,18 +310,14 @@ def profile_payload(
     job_id: str | None = None,
 ) -> dict[str, Any]:
     """The JSON profile served at ``GET /v1/jobs/<id>/profile`` and
-    rendered by ``repro profile``."""
-    tree = span_tree(records or [])
+    rendered by ``repro profile``: the run report's phases (the
+    exclusive totals of the same spans), the span tree, and folded
+    stacks."""
     return {
         "profile_version": PROFILE_VERSION,
         "job_id": job_id,
         "phases": dict((report or {}).get("phases") or {}),
-        "ledger": (report or {}).get("ledger"),
-        "spans": tree,
-        "span_phase_totals": {
-            name: round(value, 9)
-            for name, value in sorted(phase_totals(tree).items())
-        },
+        "spans": span_tree(records or []),
         "folded": folded_stacks(records or []),
     }
 
@@ -454,8 +348,8 @@ def _format_node(node: Mapping[str, Any]) -> str:
 
 
 def render_profile(payload: Mapping[str, Any]) -> str:
-    """The human-facing ``repro profile`` text: span tree, per-phase
-    reconciliation against the report, and the resource ledger."""
+    """The human-facing ``repro profile`` text: the span tree, then
+    the per-phase exclusive totals."""
     lines: list[str] = []
     title = "query profile"
     if payload.get("job_id"):
@@ -488,57 +382,34 @@ def render_profile(payload: Mapping[str, Any]) -> str:
     lines.append("")
 
     phases = payload.get("phases") or {}
-    span_totals = payload.get("span_phase_totals") or {}
     if phases:
-        lines.append("phase reconciliation (report exclusive vs trace exclusive)")
-        lines.append("----------------------------------------------------------")
-        width = max(len(name) for name in phases)
-        for name in sorted(phases):
-            timing = phases[name] or {}
-            report_ms = float(timing.get("wall_seconds", 0.0)) * 1000
-            trace_ms = float(span_totals.get(name, 0.0)) * 1000
-            count = timing.get("count", 0)
-            lines.append(
-                f"{name:<{width}}  report {report_ms:9.3f} ms  "
-                f"trace {trace_ms:9.3f} ms  x{count}"
-            )
-        lines.append("")
-
-    ledger = payload.get("ledger") or {}
-    rows = ledger.get("rows") or []
-    kernel_ops = ledger.get("kernel_ops") or {}
-    if rows or kernel_ops:
-        lines.append("resource ledger")
-        lines.append("---------------")
-        for row in rows:
-            key = row.get("phase", "?")
-            if row.get("component"):
-                key += f" component={row['component']}"
-            if row.get("rung"):
-                key += f" rung={row['rung']}"
-            counters = row.get("counters") or {}
-            rendered = ", ".join(
-                f"{name}={_render_number(counters[name])}"
-                for name in sorted(counters)
-            )
-            lines.append(f"{key}: {rendered}")
-        if kernel_ops:
-            lines.append("kernel ops:")
-            for op in sorted(kernel_ops):
-                timing = kernel_ops[op]
-                lines.append(
-                    f"  {op:<12} calls {int(timing.get('calls', 0)):>8d}  "
-                    f"wall {float(timing.get('seconds', 0.0)) * 1000:9.3f} ms"
-                )
+        lines.extend(render_phases(phases))
         lines.append("")
 
     return "\n".join(lines).rstrip("\n") + "\n"
 
 
-def _render_number(value: float) -> str:
-    if float(value).is_integer():
-        return str(int(value))
-    return f"{value:.6g}"
+def render_phases(phases: Mapping[str, Mapping[str, Any]]) -> list[str]:
+    """The phase breakdown table: exclusive wall/CPU per phase, with its
+    count and share of the total, largest first."""
+    lines = ["phase breakdown", "---------------"]
+    if not phases:
+        return lines + ["(no spans recorded)"]
+    total = sum(timing["wall_seconds"] for timing in phases.values())
+    width = max(len(name) for name in phases)
+    for name, timing in sorted(
+        phases.items(), key=lambda item: item[1]["wall_seconds"], reverse=True
+    ):
+        wall = timing["wall_seconds"]
+        share = (wall / total * 100) if total > 0 else 0.0
+        lines.append(
+            f"{name:<{width}}  "
+            f"wall {wall * 1000:10.3f} ms  "
+            f"cpu {timing['cpu_seconds'] * 1000:10.3f} ms  "
+            f"x{timing['count']:<5d} {share:5.1f}%"
+        )
+    lines.append(f"{'total':<{width}}  wall {total * 1000:10.3f} ms")
+    return lines
 
 
 def render_flame(records: list[dict]) -> str:

@@ -3,9 +3,10 @@
 Backs the ``repro report <trace.jsonl>`` subcommand and the tests'
 round-trip checks.  A :class:`TraceSummary` aggregates
 
-* the **phase breakdown** — wall/CPU totals per span name, with call
-  counts (phase accounting in ``RunContext`` is exclusive, so the
-  phases partition run wall-clock);
+* the **phase breakdown** — exclusive wall/CPU totals per span name,
+  with call counts, from :func:`~repro.obs.profile.phase_totals`: the
+  same figures as the run record's ``report.phases``, and they
+  partition the instrumented part of the run's wall clock;
 * the **convergence curve** of the Cesàro / probability estimate —
   rebuilt from per-sample ``sample`` events (``index``, ``positive``)
   that the Thm 5.6 / Thm 4.3 samplers emit, the same running ratio an
@@ -22,19 +23,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any
 
+from repro.obs.profile import phase_totals, render_phases, span_tree
 from repro.obs.schema import validate_trace_file, validate_trace_lines
 
 _SPARK_GLYPHS = "▁▂▃▄▅▆▇█"
-
-
-@dataclass
-class PhaseStat:
-    """Aggregated timings for one span name."""
-
-    name: str
-    count: int = 0
-    wall_seconds: float = 0.0
-    cpu_seconds: float = 0.0
 
 
 @dataclass
@@ -42,27 +34,22 @@ class TraceSummary:
     """Everything ``repro report`` prints, as data."""
 
     records: list[dict] = field(default_factory=list)
-    phases: dict[str, PhaseStat] = field(default_factory=dict)
+    phases: dict[str, dict[str, Any]] = field(default_factory=dict)
     events_by_name: dict[str, int] = field(default_factory=dict)
     curve: list[tuple[int, float]] = field(default_factory=list)
     run: dict[str, Any] | None = None
 
     @property
     def total_wall_seconds(self) -> float:
-        return sum(stat.wall_seconds for stat in self.phases.values())
+        return round(
+            sum(timing["wall_seconds"] for timing in self.phases.values()), 9
+        )
 
     def as_dict(self) -> dict:
         """JSON shape for ``repro report --json``."""
         return {
-            "phases": {
-                name: {
-                    "count": stat.count,
-                    "wall_seconds": round(stat.wall_seconds, 9),
-                    "cpu_seconds": round(stat.cpu_seconds, 9),
-                }
-                for name, stat in self.phases.items()
-            },
-            "total_wall_seconds": round(self.total_wall_seconds, 9),
+            "phases": self.phases,
+            "total_wall_seconds": self.total_wall_seconds,
             "events": dict(self.events_by_name),
             "curve": [[index, value] for index, value in self.curve],
             "run": self.run,
@@ -70,18 +57,17 @@ class TraceSummary:
 
 
 def summarize(records: list[dict]) -> TraceSummary:
-    """Fold validated trace records into a :class:`TraceSummary`."""
-    summary = TraceSummary(records=records)
+    """Fold validated trace records into a :class:`TraceSummary`.
+
+    Phases are the spans' exclusive totals (a span minus its local
+    children), so nested phases are not counted twice.
+    """
+    summary = TraceSummary(
+        records=records, phases=phase_totals(span_tree(records))
+    )
     for record in records:
         kind = record["type"]
-        if kind == "span":
-            stat = summary.phases.get(record["name"])
-            if stat is None:
-                stat = summary.phases[record["name"]] = PhaseStat(record["name"])
-            stat.count += 1
-            stat.wall_seconds += record["wall_s"]
-            stat.cpu_seconds += record["cpu_s"]
-        elif kind == "event":
+        if kind == "event":
             name = record["name"]
             summary.events_by_name[name] = summary.events_by_name.get(name, 0) + 1
             if name == "sample" and "index" in record and "positive" in record:
@@ -146,27 +132,7 @@ def render_summary(summary: TraceSummary) -> str:
         )
     lines.append("")
 
-    lines.append("phase breakdown")
-    lines.append("---------------")
-    if summary.phases:
-        total = summary.total_wall_seconds
-        name_width = max(len(name) for name in summary.phases)
-        ordered = sorted(
-            summary.phases.values(), key=lambda s: s.wall_seconds, reverse=True
-        )
-        for stat in ordered:
-            share = (stat.wall_seconds / total * 100) if total > 0 else 0.0
-            lines.append(
-                f"{stat.name:<{name_width}}  "
-                f"wall {stat.wall_seconds * 1000:10.3f} ms  "
-                f"cpu {stat.cpu_seconds * 1000:10.3f} ms  "
-                f"x{stat.count:<5d} {share:5.1f}%"
-            )
-        lines.append(
-            f"{'total':<{name_width}}  wall {total * 1000:10.3f} ms"
-        )
-    else:
-        lines.append("(no spans recorded)")
+    lines.extend(render_phases(summary.phases))
     lines.append("")
 
     if summary.curve:

@@ -19,11 +19,19 @@ Records are JSON-friendly dicts with a versioned schema (see
 (:class:`MemorySink`, the service's per-job trace served by
 ``GET /v1/jobs/<id>/trace``).
 
-Cost discipline: tracing must be free when off.  :data:`NULL_TRACER`
-is a singleton whose methods are no-ops, and every instrumented hot
-loop guards event emission with the plain attribute check
-``if tracer.enabled:`` — one dictionary-free boolean load per
-iteration, measured at < 2% overhead by ``benchmarks/run_benchmarks.py``.
+Spans are the one clock of a run.  A :class:`SpanRecorder` keeps every
+closed span's record and emits nothing; a run context holds one when
+the run is not traced, so ``RunReport.phases`` (the spans' exclusive
+totals, :func:`repro.obs.profile.phase_totals`) exists either way.  A
+:class:`Tracer` is a span recorder that also writes every record —
+the same dict it keeps — to its sink, plus step events.
+
+Cost discipline: tracing must be free when off.  A recorder's
+``enabled`` is ``False``, :data:`NULL_TRACER` is a singleton whose
+methods are no-ops, and every instrumented hot loop guards event
+emission with the plain attribute check ``if tracer.enabled:`` — one
+dictionary-free boolean load per iteration, measured at < 2% overhead
+by ``benchmarks/run_benchmarks.py``.
 Event volume is bounded per tracer (``max_events``); past the bound
 events are counted but dropped, and the drop count is recorded on the
 closing ``run`` record so truncation is never silent.
@@ -41,8 +49,7 @@ from typing import Any, Callable, IO, Mapping
 #: records with ``v`` <= their own version and must ignore unknown keys.
 #: v2: spans stitched from worker processes (see
 #: :mod:`repro.obs.profile`) carry ``worker_id`` / ``spawn_generation``
-#: in ``attrs``, and the closing ``run`` record's report may embed a
-#: resource ledger; v1 traces remain valid v2 traces.
+#: in ``attrs``; v1 traces remain valid v2 traces.
 TRACE_SCHEMA_VERSION = 2
 
 #: Default cap on emitted (not merely counted) step events per tracer.
@@ -93,59 +100,58 @@ class JsonlSink(Sink):
 class TraceSpan:
     """One timed phase of a run; a context manager.
 
-    Created through :meth:`Tracer.span`; records a ``span`` record with
-    wall and CPU durations when closed.  Attributes passed at creation
-    (or added via :meth:`annotate`) land on the record's ``attrs``.
+    Created through :meth:`SpanRecorder.span`; closing it hands a
+    ``span`` record with wall and CPU durations to the recorder.
+    Attributes passed at creation (or added via :meth:`annotate`) land
+    on the record's ``attrs``.
     """
 
     __slots__ = (
-        "tracer", "name", "span_id", "parent_id", "attrs",
-        "_wall_start", "_cpu_start", "wall_seconds", "cpu_seconds",
+        "recorder", "name", "span_id", "parent_id", "attrs",
+        "_wall_start", "_cpu_start",
     )
 
-    def __init__(self, tracer: "Tracer", name: str, parent_id: int | None,
-                 attrs: dict[str, Any]):
-        self.tracer = tracer
+    def __init__(self, recorder: "SpanRecorder", name: str,
+                 parent_id: int | None, attrs: dict[str, Any]):
+        self.recorder = recorder
         self.name = name
-        self.span_id = next(tracer._ids)
+        self.span_id = next(recorder._ids)
         self.parent_id = parent_id
         self.attrs = attrs
-        self.wall_seconds: float | None = None
-        self.cpu_seconds: float | None = None
 
     def annotate(self, **attrs: Any) -> None:
         """Attach attributes to the span record (last write wins)."""
         self.attrs.update(attrs)
 
     def __enter__(self) -> "TraceSpan":
-        self.tracer._stack.append(self.span_id)
+        self.recorder._stack.append(self.span_id)
         self._wall_start = time.perf_counter()
         self._cpu_start = time.process_time()
         return self
 
     def __exit__(self, *exc_info: object) -> None:
-        self.wall_seconds = time.perf_counter() - self._wall_start
-        self.cpu_seconds = time.process_time() - self._cpu_start
-        stack = self.tracer._stack
+        wall = time.perf_counter() - self._wall_start
+        cpu = time.process_time() - self._cpu_start
+        stack = self.recorder._stack
         if stack and stack[-1] == self.span_id:
             stack.pop()
-        self.tracer._emit({
+        self.recorder._close_span({
             "type": "span",
             "name": self.name,
             "span": self.span_id,
             "parent": self.parent_id,
-            "wall_s": round(self.wall_seconds, 9),
-            "cpu_s": round(self.cpu_seconds, 9),
+            "wall_s": round(wall, 9),
+            "cpu_s": round(cpu, 9),
             "attrs": self.attrs,
         })
 
 
-class _NullSpan:
+class NullSpan:
     """The reusable do-nothing span of :class:`NullTracer`."""
 
     __slots__ = ()
 
-    def __enter__(self) -> "_NullSpan":
+    def __enter__(self) -> "NullSpan":
         return self
 
     def __exit__(self, *exc_info: object) -> None:
@@ -155,7 +161,7 @@ class _NullSpan:
         pass
 
 
-_NULL_SPAN = _NullSpan()
+_NULL_SPAN = NullSpan()
 
 
 class NullTracer:
@@ -163,14 +169,15 @@ class NullTracer:
 
     Hot loops guard with ``if tracer.enabled:`` (a plain attribute
     load); code outside hot loops may call :meth:`span` / :meth:`event`
-    unconditionally.
+    unconditionally.  It records no spans (``spans`` stays empty).
     """
 
     __slots__ = ()
 
     enabled = False
+    spans: tuple = ()
 
-    def span(self, name: str, **attrs: Any) -> _NullSpan:
+    def span(self, name: str, **attrs: Any) -> NullSpan:
         return _NULL_SPAN
 
     def event(self, name: str, **fields: Any) -> None:
@@ -187,13 +194,51 @@ class NullTracer:
 NULL_TRACER = NullTracer()
 
 
-class Tracer:
+class SpanRecorder:
+    """Keeps the record of every closed span; emits nothing.
+
+    The span clock of an untraced run: ``enabled`` is ``False``, so
+    step events are skipped, but spans still nest and time themselves,
+    and :attr:`spans` holds their records in close order.  Not
+    thread-safe by design: one recorder times one run.
+    """
+
+    enabled = False
+
+    def __init__(self) -> None:
+        self._ids = itertools.count(1)
+        self._stack: list[int] = []
+        self.spans: list[dict[str, Any]] = []
+
+    @property
+    def current_span_id(self) -> int | None:
+        return self._stack[-1] if self._stack else None
+
+    def span(self, name: str, **attrs: Any) -> TraceSpan:
+        """Open a (context-manager) span under the current one."""
+        return TraceSpan(self, name, self.current_span_id, attrs)
+
+    def _close_span(self, record: dict[str, Any]) -> None:
+        self.spans.append(record)
+
+    def event(self, name: str, **fields: Any) -> None:
+        pass
+
+    def run_record(self, **fields: Any) -> None:
+        pass
+
+    def close(self) -> None:
+        pass
+
+
+class Tracer(SpanRecorder):
     """An enabled tracer bound to one sink.
 
-    Not thread-safe by design: one tracer traces one run (the service
-    gives each job its own).  ``max_events`` bounds the number of step
-    events *written*; further events are counted and the overflow is
-    reported on the ``run`` record as ``dropped_events``.
+    A :class:`SpanRecorder` that also writes each span record it keeps
+    to the sink, plus step events and the closing ``run`` record.
+    ``max_events`` bounds the number of step events *written*; further
+    events are counted and the overflow is reported on the ``run``
+    record as ``dropped_events``.
 
     Examples
     --------
@@ -205,17 +250,18 @@ class Tracer:
     ['event', 'span']
     >>> sink.records[0]["parent"] == sink.records[1]["span"]
     True
+    >>> tracer.spans[0]["name"]
+    'solve'
     """
 
     enabled = True
 
     def __init__(self, sink: Sink, max_events: int = DEFAULT_MAX_EVENTS,
                  clock: Callable[[], float] = time.time):
+        super().__init__()
         self.sink = sink
         self.max_events = max_events
         self._clock = clock
-        self._ids = itertools.count(1)
-        self._stack: list[int] = []
         self.events_emitted = 0
         self.events_dropped = 0
         self._emit({"type": "start", "ts": self._clock()})
@@ -226,15 +272,11 @@ class Tracer:
         record["v"] = TRACE_SCHEMA_VERSION
         self.sink.write(record)
 
-    @property
-    def current_span_id(self) -> int | None:
-        return self._stack[-1] if self._stack else None
+    def _close_span(self, record: dict[str, Any]) -> None:
+        self.spans.append(record)
+        self._emit(record)
 
     # -- the API -------------------------------------------------------
-
-    def span(self, name: str, **attrs: Any) -> TraceSpan:
-        """Open a (context-manager) span under the current one."""
-        return TraceSpan(self, name, self.current_span_id, attrs)
 
     def event(self, name: str, **fields: Any) -> None:
         """Record one bounded step event under the current span."""
@@ -263,7 +305,7 @@ class Tracer:
         self.sink.close()
 
 
-def tracer_of(context: Any) -> "Tracer | NullTracer":
+def tracer_of(context: Any) -> "SpanRecorder | NullTracer":
     """The tracer carried by an optional run context.
 
     Evaluators receive ``context: RunContext | None``; this normalises
@@ -279,14 +321,9 @@ def tracer_of(context: Any) -> "Tracer | NullTracer":
 def phase_scope(context: Any, name: str, **attrs: Any):
     """A phase context manager on an optional run context.
 
-    ``RunContext.phase`` both opens a tracer span and accrues the
-    exclusive wall/CPU totals reported on the
-    :class:`~repro.runtime.context.RunReport`; with no context the
-    scope is the no-op span.
+    The span opens on the context's recorder, as ``RunContext.phase``
+    does; its exclusive totals are the
+    :class:`~repro.runtime.context.RunReport`'s phases.  With no context
+    the scope is the no-op span.
     """
-    if context is None:
-        return _NULL_SPAN
-    phase = getattr(context, "phase", None)
-    if phase is None:
-        return _NULL_SPAN
-    return phase(name, **attrs)
+    return tracer_of(context).span(name, **attrs)

@@ -300,17 +300,15 @@ def _task_lookups(stats: dict | None, before: dict | None) -> dict | None:
 
 
 def _attach_worker_observability(payload: dict, context: RunContext) -> dict:
-    """Ship the worker's recorded spans/ledger back inside its payload.
+    """Ship the worker's recorded spans back inside its payload.
 
-    Both keys are plain picklable data; the parent pops them back out
+    The key holds plain picklable data; the parent pops it back out
     via :func:`absorb_worker_payload` before tallies merge, so result
-    aggregation never sees them.
+    aggregation never sees it.
     """
     spans = drain_worker_spans(context.tracer)
     if spans:
         payload["spans"] = spans
-    if not context.ledger.empty:
-        payload["ledger"] = context.ledger.as_dict()
     return payload
 
 
@@ -321,12 +319,12 @@ def absorb_worker_payload(
     worker_id: int | None = None,
     spawn_generation: int | None = None,
 ) -> None:
-    """Stitch a returned task payload's spans/ledger into the parent.
+    """Stitch a returned task payload's spans into the parent.
 
     Called at result-receipt time (the supervisor's results loop),
     when the dispatching span is still
     open on the parent tracer — that is what parents stitched roots
-    under.  Mutates ``payload`` by popping the observability keys.
+    under.  Mutates ``payload`` by popping the observability key.
     """
     if context is None or not isinstance(payload, dict):
         return
@@ -338,9 +336,6 @@ def absorb_worker_payload(
             worker_id=worker_id,
             spawn_generation=spawn_generation,
         )
-    ledger = payload.pop("ledger", None)
-    if ledger:
-        context.ledger.merge_dict(ledger)
 
 
 # -- parent-side pool driver ----------------------------------------------

@@ -370,8 +370,6 @@ class WorkerSupervisor:
             pending.append(task_id)
             self.retries_total += 1
             bump("repro_task_retries_total", error=type(error).__name__)
-            if context is not None:
-                context.ledger.add("supervisor", retries=1)
             record(
                 f"worker chunk retry #{attempts[task_id]}: "
                 f"{type(error).__name__}: {error}"
@@ -390,8 +388,6 @@ class WorkerSupervisor:
             else:
                 reason = type(error).__name__
             bump("repro_worker_restarts_total", reason=reason)
-            if context is not None:
-                context.ledger.add("supervisor", restarts=1)
             record(
                 f"worker {handle.worker_id} restarted "
                 f"({type(error).__name__}: {error})"

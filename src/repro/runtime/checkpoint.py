@@ -12,7 +12,7 @@ bit-identical to an uninterrupted run.
 The on-disk format is JSON with an explicit ``version`` and ``kind``;
 anything unexpected raises :class:`~repro.errors.CheckpointError`
 rather than resuming garbage.  An optional ``fingerprint`` of the
-query/database pair guards against resuming a checkpoint into a
+program, database and event guards against resuming a checkpoint into a
 different run.
 """
 
@@ -63,18 +63,80 @@ def _decode_rng_state(data: Any) -> tuple:
     return state
 
 
-def run_fingerprint(kernel_repr: str, initial: Database, event_repr: str) -> str:
-    """Stable digest identifying (kernel, database, event) for a run."""
-    payload = json.dumps(
-        {
-            "kernel": kernel_repr,
-            "database": database_to_json(initial),
-            "event": event_repr,
-        },
-        sort_keys=True,
-        default=str,
-    )
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+def _program_form(kernel: Any) -> dict:
+    """Every query's full expression and any pc-tables, canonically.
+
+    Expression ``repr`` is structural but renders a literal by its
+    columns only, so each query also lists its literals' rows in
+    canonical order; pc-table variables list their outcomes sorted.
+    Nothing here depends on the hash seed.
+    """
+    from repro.relational.algebra import Literal
+
+    def literal_rows(expression: Any) -> list:
+        rows = []
+        if isinstance(expression, Literal):
+            rows.append([repr(row) for row in expression.relation.sorted_rows()])
+        for child in expression.children():
+            rows.extend(literal_rows(child))
+        return rows
+
+    form: dict[str, Any] = {
+        "queries": {
+            name: [repr(expression), literal_rows(expression)]
+            for name, expression in sorted(kernel.queries.items())
+        }
+    }
+    pc_tables = kernel.pc_tables
+    if pc_tables is not None:
+        form["pc_tables"] = {
+            "tables": {
+                name: [
+                    list(table.columns),
+                    [[repr(row), repr(condition)] for row, condition in table.entries],
+                ]
+                for name, table in sorted(pc_tables.tables.items())
+            },
+            "variables": {
+                name: sorted([repr(value), str(p)] for value, p in marginal.items())
+                for name, marginal in sorted(pc_tables.variables.items())
+            },
+            "certain": {
+                name: [repr(row) for row in relation.sorted_rows()]
+                for name, relation in sorted(pc_tables.certain.items())
+            },
+        }
+    return form
+
+
+def _digest(payload: dict) -> str:
+    text = json.dumps(payload, sort_keys=True, default=str)
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def run_fingerprint(kernel: Any, initial: Database, event: Any) -> str:
+    """Stable digest identifying (program, database, event) for a run.
+
+    The program part covers every query's full expression, literal rows
+    included, and any pc-tables (see :func:`_program_form`).
+    """
+    return _digest({
+        "program": _program_form(kernel),
+        "database": database_to_json(initial),
+        "event": repr(event),
+    })
+
+
+def legacy_run_fingerprint(kernel: Any, initial: Database, event: Any) -> str:
+    """The digest checkpoints were written with before
+    :func:`run_fingerprint` covered whole programs: the kernel's
+    ``repr`` names only the relations it rewrites.  Still accepted on
+    resume, so those checkpoints keep resuming."""
+    return _digest({
+        "kernel": repr(kernel),
+        "database": database_to_json(initial),
+        "event": repr(event),
+    })
 
 
 @dataclass(frozen=True)
@@ -102,7 +164,7 @@ class Checkpoint:
         "steps_done": n}``, or ``None`` when the snapshot sits on a
         sample boundary.
     fingerprint:
-        Digest of (kernel, database, event); checked on resume.
+        Digest of (program, database, event); checked on resume.
     """
 
     kind: str
@@ -150,13 +212,14 @@ class Checkpoint:
             ) from error
         return db, steps_done
 
-    def verify_fingerprint(self, expected: str | None) -> None:
-        """Raise unless the checkpoint belongs to the ``expected`` run."""
-        if self.fingerprint is None or expected is None:
+    def verify_fingerprint(self, *accepted: str) -> None:
+        """Raise unless the checkpoint's fingerprint is one of
+        ``accepted`` (the run's current and legacy digests)."""
+        if self.fingerprint is None:
             return
-        if self.fingerprint != expected:
+        if self.fingerprint not in accepted:
             raise CheckpointError(
-                "checkpoint does not match this run (different kernel, "
+                "checkpoint does not match this run (different program, "
                 "database, or event); refusing to resume"
             )
 

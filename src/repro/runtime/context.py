@@ -13,7 +13,9 @@ evaluator accepts an optional ``context``) and provides three services:
   raise :class:`~repro.errors.RunCancelledError`;
 * **reporting** — downgrades and noteworthy events are recorded as they
   happen and :meth:`RunContext.report` assembles a structured
-  :class:`RunReport` of what was spent and why.
+  :class:`RunReport` of what was spent and why; its phase times are the
+  exclusive totals of the spans :meth:`RunContext.phase` opens, the one
+  clock of a run.
 
 Checks happen at step/state granularity inside the evaluators' hot
 loops, so interruption latency is one transition, never one full run.
@@ -27,8 +29,8 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping
 
 from repro.errors import BudgetExceededError, RunCancelledError
-from repro.obs.profile import ResourceLedger
-from repro.obs.trace import NULL_TRACER, NullTracer, Tracer
+from repro.obs.profile import phase_totals, span_tree
+from repro.obs.trace import NullSpan, NullTracer, SpanRecorder, TraceSpan
 from repro.runtime.budget import Budget
 
 
@@ -52,38 +54,6 @@ class PhaseTiming:
             "cpu_seconds": round(self.cpu_seconds, 9),
             "count": self.count,
         }
-
-
-class _PhaseScope:
-    """Context manager pairing a tracer span with exclusive accounting."""
-
-    __slots__ = ("_context", "_name", "_span")
-
-    def __init__(self, context: "RunContext", name: str, attrs: dict) -> None:
-        self._context = context
-        self._name = name
-        self._span = context.tracer.span(name, **attrs)
-
-    def annotate(self, **attrs: Any) -> None:
-        self._span.annotate(**attrs)
-
-    def __enter__(self) -> "_PhaseScope":
-        context = self._context
-        context._phase_boundary()
-        context._phase_stack.append(self._name)
-        timing = context._phases.get(self._name)
-        if timing is None:
-            timing = context._phases[self._name] = PhaseTiming()
-        timing.count += 1
-        self._span.__enter__()
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self._span.__exit__(*exc_info)
-        context = self._context
-        context._phase_boundary()
-        if context._phase_stack and context._phase_stack[-1] == self._name:
-            context._phase_stack.pop()
 
 
 @dataclass(frozen=True)
@@ -127,11 +97,9 @@ class RunReport:
         of the workers' private caches.
     phases:
         Exclusive per-phase wall/CPU timings (``parse``, ``chain-build``,
-        ``solve``, ``sample``, …) recorded via :meth:`RunContext.phase`.
-    ledger:
-        Serialised :class:`~repro.obs.profile.ResourceLedger` — per
-        phase/component/rung resource counters plus kernel operator
-        timings (``None`` when nothing was recorded).
+        ``solve``, ``sample``, …): the
+        :func:`~repro.obs.profile.phase_totals` of the spans opened via
+        :meth:`RunContext.phase`.
     """
 
     outcome: str = "running"
@@ -142,7 +110,6 @@ class RunReport:
     spent: Mapping[str, Any] = field(default_factory=dict)
     cache: Mapping[str, Any] | None = None
     phases: Mapping[str, PhaseTiming] = field(default_factory=dict)
-    ledger: Mapping[str, Any] | None = None
 
     def as_dict(self) -> dict:
         return {
@@ -156,7 +123,6 @@ class RunReport:
             "phases": {
                 name: timing.as_dict() for name, timing in self.phases.items()
             },
-            "ledger": dict(self.ledger) if self.ledger is not None else None,
         }
 
 
@@ -170,9 +136,10 @@ class RunContext:
     clock:
         Monotonic-seconds callable, injectable for deterministic tests.
     tracer:
-        Span/event sink for this run; defaults to the no-op
-        :data:`~repro.obs.trace.NULL_TRACER` (near-zero cost — hot
-        loops guard with ``if tracer.enabled:``).
+        Span/event sink for this run; defaults to a
+        :class:`~repro.obs.trace.SpanRecorder`, which keeps the run's
+        span records but emits nothing and has ``enabled`` false (hot
+        loops guard step events with ``if tracer.enabled:``).
     metrics:
         Optional :class:`~repro.obs.metrics.MetricsRegistry` that
         run-level counters (downgrades) publish into; ``None`` outside
@@ -196,7 +163,7 @@ class RunContext:
         self,
         budget: Budget | None = None,
         clock: Callable[[], float] = time.monotonic,
-        tracer: Tracer | NullTracer | None = None,
+        tracer: SpanRecorder | NullTracer | None = None,
         metrics: Any = None,
         run_id: str | None = None,
     ) -> None:
@@ -205,10 +172,9 @@ class RunContext:
         self._started = clock()
         self.steps_used = 0
         self.states_used = 0
-        self.tracer = tracer if tracer is not None else NULL_TRACER
+        self.tracer = tracer if tracer is not None else SpanRecorder()
         self.metrics = metrics
         self.run_id = run_id
-        self.ledger = ResourceLedger()
         if self.tracer.enabled:
             # Route fault-injection hits on this thread into the trace
             # (satellite of the profiler: chaos runs must be visible).
@@ -227,10 +193,6 @@ class RunContext:
         self._method: str | None = None
         self._cache: Any = None
         self._cache_stats: Mapping[str, Any] | None = None
-        self._phases: dict[str, PhaseTiming] = {}
-        self._phase_stack: list[str] = []
-        self._segment_wall = time.perf_counter()
-        self._segment_cpu = time.process_time()
 
     # -- cancellation -------------------------------------------------
 
@@ -320,25 +282,15 @@ class RunContext:
             )
         self.check()
 
-    # -- phase accounting ---------------------------------------------
+    # -- phases -------------------------------------------------------
 
-    def _phase_boundary(self) -> None:
-        """Close the current timing segment, charging the active phase."""
-        now_wall = time.perf_counter()
-        now_cpu = time.process_time()
-        if self._phase_stack:
-            timing = self._phases[self._phase_stack[-1]]
-            timing.wall_seconds += now_wall - self._segment_wall
-            timing.cpu_seconds += now_cpu - self._segment_cpu
-        self._segment_wall = now_wall
-        self._segment_cpu = now_cpu
+    def phase(self, name: str, **attrs: Any) -> TraceSpan | NullSpan:
+        """A named run phase: one span on this run's recorder.
 
-    def phase(self, name: str, **attrs: Any) -> _PhaseScope:
-        """A named run phase: tracer span + exclusive wall/CPU timing.
-
-        Nesting pauses the parent — entering ``solve`` inside
-        ``chain-build`` charges the inner time to ``solve`` only — so
-        per-phase totals on the :class:`RunReport` partition the run.
+        The report's phases are the spans' exclusive totals — entering
+        ``solve`` inside ``chain-build`` charges the inner time to
+        ``solve`` only — so per-phase totals on the :class:`RunReport`
+        partition the run.
 
         >>> context = RunContext()
         >>> with context.phase("solve"):
@@ -346,7 +298,7 @@ class RunContext:
         >>> context.report().phases["solve"].count
         1
         """
-        return _PhaseScope(self, name, attrs)
+        return self.tracer.span(name, **attrs)
 
     # -- usage merging ------------------------------------------------
 
@@ -408,11 +360,6 @@ class RunContext:
         cache_stats = self._cache_stats
         if cache_stats is None and self._cache is not None:
             cache_stats = self._cache.stats()
-        ledger: dict[str, Any] | None = None
-        if not self.ledger.empty or cache_stats:
-            # Cache counters fold in at snapshot time (never stored), so
-            # repeated report() calls cannot double-count them.
-            ledger = self.ledger.as_dict(cache=cache_stats)
         return RunReport(
             outcome=self._outcome,
             method=self._method,
@@ -425,12 +372,11 @@ class RunContext:
                 "states": self.states_used,
             },
             cache=cache_stats,
-            ledger=ledger,
             phases={
-                name: PhaseTiming(
-                    timing.wall_seconds, timing.cpu_seconds, timing.count
-                )
-                for name, timing in self._phases.items()
+                name: PhaseTiming(**totals)
+                for name, totals in phase_totals(
+                    span_tree(self.tracer.spans)
+                ).items()
             },
         )
 

@@ -489,8 +489,9 @@ def _pool_worker(task: dict) -> dict:
         with context.phase(
             "component-solve", component=task["name"],
             semantics=task["semantics"],
-        ):
+        ) as scope:
             outcome = _solve_one(task)
+            scope.annotate(**_span_attrs(outcome))
     else:
         outcome = _solve_one(task)
     payload = outcome.as_dict()
@@ -503,9 +504,19 @@ def _pool_worker(task: dict) -> dict:
         spans = drain_worker_spans(context.tracer)
         if spans:
             payload["spans"] = spans
-        if not context.ledger.empty:
-            payload["ledger"] = context.ledger.as_dict()
     return payload
+
+
+def _span_attrs(outcome: ComponentOutcome) -> dict[str, Any]:
+    """What the span that solved a component records about it: the
+    rung that answered, its states and samples, and its (ε, δ)."""
+    return {
+        "rung": outcome.method,
+        "states": outcome.states,
+        "samples": outcome.samples,
+        "epsilon": outcome.epsilon,
+        "delta": outcome.delta,
+    }
 
 
 def _outcome_from_payload(payload: Mapping[str, Any]) -> ComponentOutcome:
@@ -598,8 +609,12 @@ def _solve_components(
     outcomes = []
     for task in tasks:
         task["context"] = context
-        with phase_scope(context, "partition-solve", component=task["name"]):
-            outcomes.append(_solve_one(task))
+        with phase_scope(
+            context, "partition-solve", component=task["name"]
+        ) as scope:
+            outcome = _solve_one(task)
+            scope.annotate(**_span_attrs(outcome))
+        outcomes.append(outcome)
     return outcomes
 
 
@@ -630,19 +645,6 @@ def _combine(
 ) -> ExactResult | SamplingResult:
     all_exact = all(outcome.exact for outcome in outcomes)
     constant = _static_constant(split, initial)
-
-    for outcome in outcomes:
-        # One ledger row per component, keyed by the rung that answered
-        # it — the per-component (ε, δ) the profiler surfaces.
-        context.ledger.add(
-            "partition-solve",
-            component=outcome.name,
-            rung=outcome.method,
-            states=outcome.states,
-            samples=outcome.samples,
-            epsilon=outcome.epsilon,
-            delta=outcome.delta,
-        )
 
     if split.mode == "and":
         combined: Fraction | float = constant

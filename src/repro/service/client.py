@@ -192,7 +192,7 @@ class ServiceClient:
         return self._call("GET", f"/v1/jobs/{job_id}/trace")["trace"]
 
     def profile(self, job_id: str) -> dict:
-        """``GET /v1/jobs/<id>/profile`` — span tree + resource ledger."""
+        """``GET /v1/jobs/<id>/profile`` — span tree + phase totals."""
         return self._call("GET", f"/v1/jobs/{job_id}/profile")
 
     def metrics(self) -> dict:

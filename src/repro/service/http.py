@@ -9,7 +9,7 @@ layer adds no dependencies.  Routes:
 ``GET    /v1/jobs``              list registered jobs
 ``GET    /v1/jobs/<id>``         poll one job
 ``GET    /v1/jobs/<id>/trace``   the job's trace records (404 until done)
-``GET    /v1/jobs/<id>/profile`` span tree + resource ledger (404 until done)
+``GET    /v1/jobs/<id>/profile`` span tree + phase totals (404 until done)
 ``DELETE /v1/jobs/<id>``         cancel a queued/running job
 ``GET    /v1/metrics``           counters, gauges, latency histograms
 ``GET    /v1/metrics?format=prometheus``  text exposition format 0.0.4

@@ -680,13 +680,10 @@ class JobScheduler:
                 )
                 for note in job.shed:
                     job.context.record_event(f"load shed at admission: {note}")
-                if job.shed:
-                    job.context.ledger.add("admission", shed=len(job.shed))
                 if job.attempts > 1:
                     job.context.record_event(
                         f"retry attempt {job.attempts}/{self.max_job_retries + 1}"
                     )
-                    job.context.ledger.add("scheduler", retries=1)
                 if job.cancel_requested:
                     job.context.cancel()
                 self._in_flight += 1

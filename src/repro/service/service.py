@@ -284,8 +284,8 @@ class QueryService:
         """The job's profile document for ``GET /v1/jobs/<id>/profile``.
 
         Built on demand from the finished job's trace and run report:
-        the span tree with exclusive timings, per-phase totals, the
-        resource ledger, and folded stacks for flamegraph tooling.
+        the span tree with exclusive timings, per-phase totals, and
+        folded stacks for flamegraph tooling.
         Raises :class:`~repro.errors.JobNotFoundError` when the job does
         not exist or has no trace yet (same contract as
         :meth:`job_trace` — the HTTP layer maps both to 404).

@@ -475,7 +475,6 @@ class EngineSession:
             )
         # The payload reports downgrades, so a run always has a context.
         context = ensure_context(context)
-        kernel_ops_before = self._op_timings_snapshot()
         if self.semantics == "datalog":
             payload = self._evaluate_datalog(request, context)
         else:
@@ -484,42 +483,9 @@ class EngineSession:
             )
         if context.downgrades:
             payload["downgrades"] = [d.as_dict() for d in context.downgrades]
-        self._record_kernel_ops(context, kernel_ops_before)
         with self._served_lock:
             self.requests_served += 1
         return payload
-
-    def _op_timings_snapshot(self) -> "dict[str, dict[str, float]] | None":
-        columnar = self._columnar
-        return columnar[0].op_timings() if columnar is not None else None
-
-    def _record_kernel_ops(
-        self,
-        context: RunContext,
-        before: "dict[str, dict[str, float]] | None",
-    ) -> None:
-        """Attribute this request's share of the compiled kernel's
-        cumulative per-operator timings to the run's resource ledger.
-
-        The session's compiled kernel is shared, so the counters only
-        ever grow; the request's share is the delta across ``evaluate``.
-        A request that triggered the compile has no *before* snapshot —
-        the whole total is its share.
-        """
-        columnar = self._columnar
-        if columnar is None:
-            return
-        after = columnar[0].op_timings()
-        prior = before or {}
-        delta: dict[str, dict[str, float]] = {}
-        for op, stats in after.items():
-            base = prior.get(op, {"calls": 0, "seconds": 0.0})
-            calls = stats["calls"] - base["calls"]
-            seconds = stats["seconds"] - base["seconds"]
-            if calls > 0 or seconds > 0:
-                delta[op] = {"calls": calls, "seconds": seconds}
-        if delta:
-            context.ledger.record_kernel_ops(delta)
 
     def _evaluate_partitioned(
         self,

@@ -131,15 +131,6 @@ def evaluate_forever_sparse(
         scope.annotate(
             iterations=certificate.iterations, bound=certificate.bound
         )
-    if context is not None:
-        context.ledger.add(
-            "sparse-solve",
-            rung="sparse",
-            states=chain.size,
-            nnz=chain.nnz,
-            iterations=certificate.iterations,
-            certified_bound=certificate.bound,
-        )
     structure["backend"] = "columnar" if lowered(query) else "frozenset"
     if not certificate.satisfies():
         _observe(context, certificate, "refused")

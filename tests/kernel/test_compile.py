@@ -144,15 +144,3 @@ def test_compiled_kernel_duck_type_surface():
     cache = kernel.cached(maxsize=16)
     row = cache.transition(initial)
     assert sum(weight for _, weight in row.items()) == Fraction(1)
-
-
-def test_op_timings_accumulate():
-    query, db = random_walk_query(cycle_graph(4), "n0", "n2")
-    compiled = compile_query(query, db)
-    rng = random.Random(1)
-    state = compiled.initial
-    for _ in range(5):
-        state = compiled.kernel.sample_transition(state, rng)
-    timings = compiled.kernel.op_timings()
-    assert "repair-key" in timings and timings["repair-key"]["calls"] >= 5
-    assert all(entry["seconds"] >= 0.0 for entry in timings.values())

@@ -1,4 +1,4 @@
-"""The profiling subsystem: span buffers, stitching, ledgers, rendering."""
+"""The profiling subsystem: span buffers, stitching, phase totals, rendering."""
 
 from __future__ import annotations
 
@@ -7,7 +7,6 @@ import pytest
 from repro.obs import (
     MemorySink,
     NULL_TRACER,
-    ResourceLedger,
     SpanBuffer,
     Tracer,
     TraceSchemaError,
@@ -138,62 +137,6 @@ class TestStitchSpans:
         assert [r["type"] for r in sink.records] == ["start"]
 
 
-class TestResourceLedger:
-    def test_add_sums_under_one_key(self):
-        ledger = ResourceLedger()
-        assert ledger.empty
-        ledger.add("supervisor", retries=1)
-        ledger.add("supervisor", retries=2, restarts=1)
-        rows = ledger.as_dict()["rows"]
-        assert rows == [{
-            "phase": "supervisor", "component": None, "rung": None,
-            "counters": {"restarts": 1.0, "retries": 3.0},
-        }]
-
-    def test_component_rung_keys_are_distinct(self):
-        ledger = ResourceLedger()
-        ledger.add("partition-solve", component="c0", rung="prop-5.4", states=2)
-        ledger.add("partition-solve", component="c1", rung="thm-5.6", samples=100)
-        rows = ledger.as_dict()["rows"]
-        assert [(r["component"], r["rung"]) for r in rows] == [
-            ("c0", "prop-5.4"), ("c1", "thm-5.6"),
-        ]
-
-    def test_kernel_ops_accumulate(self):
-        ledger = ResourceLedger()
-        ledger.record_kernel_ops({"join": {"calls": 2, "seconds": 0.5}})
-        ledger.record_kernel_ops({"join": {"calls": 1, "seconds": 0.25}})
-        assert ledger.as_dict()["kernel_ops"] == {
-            "join": {"calls": 3.0, "seconds": 0.75}
-        }
-
-    def test_merge_dict_round_trips(self):
-        worker = ResourceLedger()
-        worker.add("sample", rung="thm-5.6", samples=50)
-        worker.record_kernel_ops({"select": {"calls": 4, "seconds": 0.1}})
-        parent = ResourceLedger()
-        parent.merge_dict(worker.as_dict())
-        parent.merge_dict(worker.as_dict())
-        payload = parent.as_dict()
-        assert payload["rows"][0]["counters"]["samples"] == 100.0
-        assert payload["kernel_ops"]["select"]["calls"] == 8.0
-
-    def test_cache_stats_fold_in_fresh_each_render(self):
-        ledger = ResourceLedger()
-        ledger.add("sample", samples=10)
-        stats = {"hits": 5, "misses": 2, "evictions": 0, "hit_rate": 0.71,
-                 "enabled": True}
-        first = ledger.as_dict(cache=stats)
-        second = ledger.as_dict(cache=stats)
-        assert first == second  # rendering twice never double-counts
-        cache_rows = [r for r in first["rows"]
-                      if r["phase"] == "transition-cache"]
-        assert len(cache_rows) == 1
-        # Booleans are not counters.
-        assert "enabled" not in cache_rows[0]["counters"]
-        assert cache_rows[0]["counters"]["hits"] == 5.0
-
-
 def _local_trace() -> tuple[list[dict], dict]:
     """A parent trace with one stitched worker subtree and a run record."""
     sink = MemorySink()
@@ -203,19 +146,7 @@ def _local_trace() -> tuple[list[dict], dict]:
     with tracer.span("partition-solve", workers=2):
         stitch_spans(tracer, _worker_records(), worker_id=0,
                      spawn_generation=0)
-    report = {
-        "phases": {
-            "partition-plan": {"wall_seconds": 0.0, "cpu_seconds": 0.0,
-                               "count": 1},
-            "partition-solve": {"wall_seconds": 0.001, "cpu_seconds": 0.001,
-                                "count": 1},
-        },
-        "ledger": {
-            "rows": [{"phase": "partition-solve", "component": "c0",
-                      "rung": "prop-5.4", "counters": {"states": 2.0}}],
-            "kernel_ops": {"join": {"calls": 3.0, "seconds": 0.002}},
-        },
-    }
+    report = {"phases": phase_totals(span_tree(tracer.spans))}
     tracer.run_record(outcome="ok", job_id="job-1", report=report)
     return sink.records, report
 
@@ -237,9 +168,29 @@ class TestSpanTree:
         )
 
     def test_phase_totals_skip_worker_spans(self):
-        records, _ = _local_trace()
+        records, report = _local_trace()
         totals = phase_totals(span_tree(records))
         assert set(totals) == {"partition-plan", "partition-solve"}
+        # Stitched spans change neither the names nor the figures.
+        assert totals == report["phases"]
+
+    def test_phase_totals_are_exclusive_with_cpu_and_count(self):
+        tracer = Tracer(MemorySink())
+        for _ in range(2):
+            with tracer.span("chain-build"):
+                with tracer.span("solve"):
+                    pass
+        totals = phase_totals(span_tree(tracer.spans))
+        assert totals["chain-build"]["count"] == 2
+        assert totals["solve"]["count"] == 2
+        outer = [r for r in tracer.spans if r["name"] == "chain-build"]
+        inner = [r for r in tracer.spans if r["name"] == "solve"]
+        wall = sum(max(0.0, o["wall_s"] - i["wall_s"])
+                   for o, i in zip(outer, inner))
+        cpu = sum(max(0.0, o["cpu_s"] - i["cpu_s"])
+                  for o, i in zip(outer, inner))
+        assert totals["chain-build"]["wall_seconds"] == round(wall, 9)
+        assert totals["chain-build"]["cpu_seconds"] == round(cpu, 9)
 
     def test_folded_stacks_are_parseable(self):
         records, _ = _local_trace()
@@ -261,18 +212,14 @@ class TestProfilePayload:
         payload = profile_payload(records, report, job_id="job-1")
         assert payload["job_id"] == "job-1"
         assert payload["phases"] == report["phases"]
-        assert payload["ledger"] == report["ledger"]
         assert payload["spans"]
-        assert set(payload["span_phase_totals"]) == {
-            "partition-plan", "partition-solve",
-        }
         assert payload["folded"] == folded_stacks(records)
 
     def test_profile_from_trace_reads_the_run_record(self):
         records, report = _local_trace()
         payload = profile_from_trace(records)
         assert payload["job_id"] == "job-1"
-        assert payload["ledger"] == report["ledger"]
+        assert payload["phases"] == report["phases"]
 
     def test_render_profile_text(self):
         records, report = _local_trace()
@@ -280,9 +227,6 @@ class TestProfilePayload:
         assert "span tree" in text
         assert "component-solve" in text
         assert "worker_id=0" in text
-        assert "phase reconciliation" in text
-        assert "resource ledger" in text
-        assert "kernel ops:" in text
 
     def test_render_flame_ends_with_newline(self):
         records, _ = _local_trace()

@@ -11,6 +11,7 @@ from repro.obs import (
     JsonlSink,
     MemorySink,
     NULL_TRACER,
+    SpanRecorder,
     TRACE_SCHEMA_VERSION,
     TraceSchemaError,
     Tracer,
@@ -36,6 +37,25 @@ class TestTracer:
         assert inner["parent"] == outer["span"]
         assert records[1]["parent"] == inner["span"]
         assert all(r["v"] == TRACE_SCHEMA_VERSION for r in records)
+
+    def test_recorder_keeps_spans_and_emits_nothing(self):
+        recorder = SpanRecorder()
+        assert recorder.enabled is False
+        with recorder.span("outer", k=1):
+            with recorder.span("inner") as inner:
+                inner.annotate(states=2)
+                recorder.event("tick")  # dropped: not tracing
+        assert [r["name"] for r in recorder.spans] == ["inner", "outer"]
+        assert recorder.spans[0]["parent"] == recorder.spans[1]["span"]
+        assert recorder.spans[0]["attrs"] == {"states": 2}
+
+    def test_tracer_keeps_the_records_it_writes(self):
+        sink = MemorySink()
+        tracer = Tracer(sink)
+        with tracer.span("solve"):
+            pass
+        written = [r for r in sink.records if r["type"] == "span"]
+        assert tracer.spans == written
 
     def test_event_bound_counts_drops(self):
         sink = MemorySink()

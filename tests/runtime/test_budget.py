@@ -163,6 +163,44 @@ class TestRunReport:
         assert context.report().outcome == "cancelled"
 
 
+class TestPhases:
+    """A run's phases are the exclusive totals of its own spans."""
+
+    def _nested(self, context):
+        with context.phase("chain-build"):
+            with context.phase("solve"):
+                sum(range(20_000))
+            sum(range(20_000))
+        with context.phase("solve"):
+            pass
+
+    def test_untraced_run_reports_phases_from_its_spans(self):
+        context = RunContext()
+        self._nested(context)
+        assert context.tracer.enabled is False
+        phases = context.report().phases
+        assert {name: t.count for name, t in phases.items()} == {
+            "chain-build": 1, "solve": 2,
+        }
+        records = {r["name"]: r for r in context.tracer.spans
+                   if r["parent"] is None}
+        inner = [r for r in context.tracer.spans if r["parent"] is not None]
+        # Exclusive: the nested solve is charged to solve only.
+        assert phases["chain-build"].wall_seconds == round(
+            records["chain-build"]["wall_s"] - inner[0]["wall_s"], 9
+        )
+
+    def test_traced_report_equals_totals_of_the_emitted_spans(self):
+        from repro.obs import MemorySink, Tracer, phase_totals, span_tree
+
+        sink = MemorySink()
+        context = RunContext(tracer=Tracer(sink))
+        self._nested(context)
+        report = context.report().as_dict()
+        assert report["phases"] == phase_totals(span_tree(sink.records))
+        assert "ledger" not in report
+
+
 class TestEnsureContext:
     def test_passthrough(self):
         context = RunContext()

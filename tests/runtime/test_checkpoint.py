@@ -172,6 +172,143 @@ class TestFingerprint:
             )
 
 
+GUARDED_WALK = (
+    "C := rename[J->I](project[J](repair-key[I@P](select[J!='n3'](C join E))))"
+)
+PLAIN_WALK = "C := rename[J->I](project[J](repair-key[I@P](C join E)))"
+
+
+def _walk_on_k4(program: str):
+    """A walk on the complete graph K4, started at n3."""
+    from repro.core import ForeverQuery, parse_event
+    from repro.relational import Database, Relation, parse_interpretation
+    from repro.workloads import complete_graph
+
+    db = Database({
+        "C": Relation(("I",), [("n3",)]),
+        "E": complete_graph(4).edge_relation(),
+    })
+    return ForeverQuery(parse_interpretation(program), parse_event("C(n1)")), db
+
+
+def _interrupted(query, db, path) -> None:
+    with pytest.raises(BudgetExceededError):
+        evaluate_forever_mcmc(
+            query, db, burn_in=10, samples=200, rng=5,
+            context=RunContext(Budget(max_steps=500)), checkpoint_path=path,
+        )
+
+
+class TestProgramFingerprint:
+    """A checkpoint resumes only into the program that wrote it."""
+
+    def test_resume_into_a_different_program_is_refused(self, tmp_path):
+        path = tmp_path / "guarded.ckpt"
+        _interrupted(*_walk_on_k4(GUARDED_WALK), path)
+        with pytest.raises(CheckpointError, match="does not match"):
+            evaluate_forever_mcmc(
+                *_walk_on_k4(PLAIN_WALK), burn_in=10, samples=200, rng=5,
+                resume=path,
+            )
+
+    def test_cli_resume_into_a_different_program_exits_2(
+        self, tmp_path, capsys
+    ):
+        from repro.cli import main
+
+        (tmp_path / "guarded.ra").write_text(GUARDED_WALK + "\n")
+        (tmp_path / "plain.ra").write_text(PLAIN_WALK + "\n")
+        _, db = _walk_on_k4(PLAIN_WALK)
+        from repro.io import save_database
+
+        save_database(db, tmp_path / "k4.json")
+        common = [
+            "--db", str(tmp_path / "k4.json"), "--event", "C(n1)", "--mcmc",
+            "--samples", "200", "--burn-in", "10", "--seed", "5",
+        ]
+        ckpt = str(tmp_path / "ck")
+        assert main(["forever", str(tmp_path / "guarded.ra"), *common,
+                     "--checkpoint", ckpt, "--max-steps", "500"]) == 2
+        capsys.readouterr()
+        assert main(["forever", str(tmp_path / "plain.ra"), *common,
+                     "--resume", ckpt]) == 2
+        assert "checkpoint does not match" in capsys.readouterr().err
+
+    def test_a_changed_literal_row_is_refused(self, tmp_path):
+        template = (
+            "C := rename[J->I](project[J](repair-key[I@P]("
+            "C join E join literal[J]{{('n1'), ('{}')}})))"
+        )
+        path = tmp_path / "literal.ckpt"
+        _interrupted(*_walk_on_k4(template.format("n2")), path)
+        with pytest.raises(CheckpointError, match="does not match"):
+            evaluate_forever_mcmc(
+                *_walk_on_k4(template.format("n0")), burn_in=10,
+                samples=200, rng=5, resume=path,
+            )
+
+    def test_same_program_resume_equals_the_uninterrupted_run(self, tmp_path):
+        query, db = _walk_on_k4(GUARDED_WALK)
+        full = evaluate_forever_mcmc(query, db, burn_in=10, samples=200, rng=5)
+        path = tmp_path / "guarded.ckpt"
+        _interrupted(query, db, path)
+        resumed = evaluate_forever_mcmc(
+            *_walk_on_k4(GUARDED_WALK), burn_in=10, samples=200, rng=5,
+            resume=path,
+        )
+        assert resumed.details["resumed_at"] == 50
+        assert (resumed.positive, resumed.samples) == (full.positive, full.samples)
+        assert resumed.estimate == full.estimate
+
+    def test_a_lowered_run_writes_the_source_fingerprint(self, tmp_path):
+        from repro.kernel import lower
+
+        query, db = _walk_on_k4(GUARDED_WALK)
+        _interrupted(query, db, tmp_path / "source.ckpt")
+        _interrupted(*lower(query, db), tmp_path / "lowered.ckpt")
+        assert (
+            load_checkpoint(tmp_path / "source.ckpt").fingerprint
+            == load_checkpoint(tmp_path / "lowered.ckpt").fingerprint
+        )
+
+    def test_fingerprint_ignores_the_hash_seed(self):
+        """Literal rows, selections and pc-tables digest canonically."""
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        script = (
+            "from fractions import Fraction\n"
+            "from repro.core import Interpretation, parse_event\n"
+            "from repro.ctables import CTable, PCDatabase, var_eq\n"
+            "from repro.probability import Distribution\n"
+            "from repro.relational import parse_interpretation\n"
+            "from repro.runtime.checkpoint import run_fingerprint\n"
+            "from repro.workloads import complete_graph\n"
+            "from repro.relational import Database, Relation\n"
+            "kernel = parse_interpretation(\"C := rename[J->I](project[J]("
+            "repair-key[I@P](select[J!='n3'](C join E join literal[J]"
+            "{('n0'), ('n1'), ('n2'), ('x'), ('y'), ('z')}))))\")\n"
+            "pc = PCDatabase({'F': CTable(('A',), [(('a',), var_eq('v', 1)),"
+            " (('b',), var_eq('v', 2))])}, {'v': Distribution({1: Fraction(1, 3),"
+            " 2: Fraction(1, 3), 3: Fraction(1, 3)})})\n"
+            "db = Database({'C': Relation(('I',), [('n3',)]),"
+            " 'E': complete_graph(4).edge_relation()})\n"
+            "print(run_fingerprint(Interpretation(kernel.queries, pc_tables=pc),"
+            " db, parse_event('C(n1)')))\n"
+        )
+        src = str(Path(__file__).resolve().parents[2] / "src")
+        digests = set()
+        for seed in ("0", "1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+            digests.add(subprocess.run(
+                [sys.executable, "-c", script], env=env, check=True,
+                capture_output=True, text=True,
+            ).stdout.strip())
+        assert len(digests) == 1
+
+
 class TestFormatValidation:
     def test_rejects_bad_json(self, tmp_path):
         path = tmp_path / "bad.ckpt"

@@ -228,39 +228,69 @@ class TestParallelParity:
         assert "chain-build" in inner
 
     def test_profiled_pool_run_fills_the_ledger(self, two_walkers):
+        """The span that solved each component records its rung,
+        states, samples and (ε, δ), as the answer's details do."""
         from repro.obs import MemorySink, Tracer
 
-        kernel, db = two_walkers
-        query = ForeverQuery(kernel, TupleIn("C", ("b",)))
-        plan = plan_for(kernel, db)
-        context = RunContext(tracer=Tracer(MemorySink()))
-        evaluate_partitioned(query, db, plan, workers=2, context=context)
-        ledger = context.report().as_dict()["ledger"]
-        rows = {
-            (row["phase"], row["component"]): row["counters"]
-            for row in ledger["rows"]
-        }
-        solve_rows = [
-            key for key in rows if key[0] == "partition-solve"
-        ]
-        assert solve_rows  # one per evaluated component
-        for key in solve_rows:
-            assert rows[key]["states"] >= 1
-
-    def test_serial_run_fills_the_ledger_identically(self, two_walkers):
         kernel, db = two_walkers
         query = ForeverQuery(
             kernel, AndEvent(TupleIn("C", ("b",)), TupleIn("D", ("a",)))
         )
         plan = plan_for(kernel, db)
-        serial_ctx = RunContext()
-        evaluate_partitioned(query, db, plan, workers=1, context=serial_ctx)
-        pooled_ctx = RunContext()
-        evaluate_partitioned(query, db, plan, workers=2, context=pooled_ctx)
-        assert (
-            serial_ctx.ledger.as_dict()["rows"]
-            == pooled_ctx.ledger.as_dict()["rows"]
+        context = RunContext(tracer=Tracer(MemorySink()))
+        result = evaluate_partitioned(
+            query, db, plan, workers=2, context=context
         )
+        solved = {
+            r["attrs"]["component"]: r["attrs"]
+            for r in context.tracer.sink.records
+            if r.get("type") == "span" and r["name"] == "component-solve"
+        }
+        assert set(solved) == {"c0", "c1"}
+        for component in result.details["components"]:
+            attrs = solved[component["name"]]
+            assert "worker_id" in attrs
+            assert attrs["rung"] == component["method"] == "prop-5.4"
+            assert attrs["states"] == component["states"] >= 1
+            for key in ("samples", "epsilon", "delta"):
+                assert attrs[key] == component[key]
+
+    def test_serial_run_fills_the_ledger_identically(self, two_walkers):
+        """Serial and pooled runs report the same components, in the
+        answer and on the spans that solved them."""
+        from repro.obs import MemorySink, Tracer
+
+        kernel, db = two_walkers
+        query = ForeverQuery(
+            kernel, AndEvent(TupleIn("C", ("b",)), TupleIn("D", ("a",)))
+        )
+        plan = plan_for(kernel, db)
+        keys = ("rung", "states", "samples", "epsilon", "delta")
+
+        def component_spans(workers):
+            context = RunContext(tracer=Tracer(MemorySink()))
+            result = evaluate_partitioned(
+                query, db, plan, workers=workers, context=context
+            )
+            name = "partition-solve" if workers == 1 else "component-solve"
+            spans = {
+                r["attrs"]["component"]: {key: r["attrs"][key] for key in keys}
+                for r in context.tracer.sink.records
+                if r.get("type") == "span" and r["name"] == name
+                and "component" in r["attrs"]
+            }
+            return result.details["components"], spans
+
+        serial_components, serial_spans = component_spans(1)
+        pooled_components, pooled_spans = component_spans(2)
+        assert serial_components == pooled_components
+        assert serial_spans == pooled_spans
+        assert set(serial_spans) == {"c0", "c1"}
+        for component in serial_components:
+            assert serial_spans[component["name"]] == {
+                "rung": component["method"],
+                **{key: component[key] for key in keys[1:]},
+            }
 
 
 class TestRefusals:

@@ -7,7 +7,7 @@ import threading
 import pytest
 
 from repro.errors import JobNotFoundError
-from repro.obs import validate_trace_records
+from repro.obs import phase_totals, span_tree, validate_trace_records
 from repro.service import (
     QueryRequest,
     QueryService,
@@ -65,7 +65,10 @@ class TestJobTraces:
         try:
             job = service.submit(QueryRequest.from_json(walk_body()))
             service.wait(job.id, timeout=30.0)
-            assert service.job(job.id).as_dict()["trace_available"] is False
+            record = service.job(job.id).as_dict()
+            assert record["trace_available"] is False
+            # Untraced runs still time their phases, from their own spans.
+            assert {"chain-build", "solve"} <= set(record["report"]["phases"])
             with pytest.raises(JobNotFoundError, match="no trace"):
                 service.job_trace(job.id)
         finally:
@@ -84,7 +87,8 @@ class TestJobProfile:
         record = client.submit(walk_body())
         client.wait(record["id"], timeout=30.0)
         profile = client.profile(record["id"])
-        assert profile["profile_version"] == 1
+        assert profile["profile_version"] == 2
+        assert "ledger" not in profile and "span_phase_totals" not in profile
         assert profile["job_id"] == record["id"]
         names = {span["name"] for span in _flatten(profile["spans"])}
         assert "solve" in names
@@ -101,14 +105,11 @@ class TestJobProfile:
         record = client.submit(walk_body())
         client.wait(record["id"], timeout=30.0)
         profile = client.profile(record["id"])
-        totals = profile["span_phase_totals"]
-        for name, timing in profile["phases"].items():
-            reported = timing["wall_seconds"]
-            traced = totals.get(name, 0.0)
-            # Two clocks bracket the same region: 5% relative, with an
-            # absolute floor for microsecond-scale phases where timer
-            # granularity dominates.
-            assert abs(traced - reported) <= max(0.05 * reported, 2e-3), name
+        # One clock: the report's phases are the spans' exclusive totals.
+        assert profile["phases"]
+        assert profile["phases"] == phase_totals(profile["spans"])
+        trace = client.trace(record["id"])
+        assert trace[-1]["report"]["phases"] == phase_totals(span_tree(trace))
 
     def test_partitioned_job_profile_carries_worker_spans(self, served):
         """Spans recorded inside pool workers are stitched under the
@@ -155,9 +156,16 @@ class TestJobProfile:
         for span in worker_spans:
             assert span["attrs"]["spawn_generation"] >= 0
         assert len({span["attrs"]["worker_id"] for span in worker_spans}) >= 1
-        rows = (profile["ledger"] or {}).get("rows", [])
-        components = {row["component"] for row in rows}
-        assert {"c0", "c1"} <= components
+        solved = {
+            span["attrs"]["component"]: span["attrs"]
+            for span in worker_spans if span["name"] == "component-solve"
+        }
+        assert set(solved) == {"c0", "c1"}
+        assert all(attrs["rung"] == "prop-5.4" for attrs in solved.values())
+        # Stitched worker spans stay out of the parent's phase totals.
+        assert profile["phases"] == phase_totals(profile["spans"])
+        assert done["report"]["phases"] == profile["phases"]
+        assert "component-solve" not in profile["phases"]
 
     def test_unknown_job_profile_is_404(self, served):
         _, client = served

@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
 from repro.cli import main
-from repro.obs import summarize, validate_trace_file
+from repro.obs import phase_totals, span_tree, summarize, validate_trace_file
 
 from tests.test_cli import workspace  # noqa: F401  (fixture re-export)
 
@@ -96,6 +97,32 @@ class TestReportCommand:
         assert "sample" in payload["phases"]
         assert payload["run"]["outcome"] == "ok"
 
+    def test_report_agrees_with_the_run(self, tmp_path, capsys):
+        """``repro report`` reads the run's own phase figures: nested
+        spans (chain-build and solve under partition-solve) are not
+        counted twice."""
+        examples = Path(__file__).resolve().parents[1] / "examples" / "programs"
+        trace = tmp_path / "partitioned.jsonl"
+        code = main([
+            "forever", str(examples / "two_walkers.ra"),
+            "--db", str(examples / "two_walkers.db.json"),
+            "--event", "C(b) and D(a)", "--partition", "auto",
+            "--trace", str(trace), "--json",
+        ])
+        assert code == 0
+        assert json.loads(capsys.readouterr().out)["probability"] == "1/4"
+        records = validate_trace_file(str(trace))
+        phases = records[-1]["report"]["phases"]
+        assert phases["partition-solve"]["count"] == 2
+        assert phases == phase_totals(span_tree(records))
+
+        assert main(["report", str(trace), "--json"]) == 0
+        summary = json.loads(capsys.readouterr().out)
+        assert summary["phases"] == phases
+        assert summary["total_wall_seconds"] == round(
+            sum(timing["wall_seconds"] for timing in phases.values()), 9
+        )
+
     def test_report_rejects_malformed_trace(self, tmp_path, capsys):
         bad = tmp_path / "bad.jsonl"
         bad.write_text('{"type": "mystery", "v": 1}\n')
@@ -111,7 +138,7 @@ class TestProfileCommand:
         assert code == 0
         out = capsys.readouterr().out
         assert "span tree" in out
-        assert "phase reconciliation" in out
+        assert "phase breakdown" in out
         assert "sample" in out
 
     def test_profile_json_payload(self, workspace, tmp_path, capsys):
@@ -119,9 +146,11 @@ class TestProfileCommand:
         code = main(["profile", str(tmp_path / "run.jsonl"), "--json"])
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
-        assert payload["profile_version"] == 1
+        assert payload["profile_version"] == 2
         assert payload["spans"]
-        assert "sample" in payload["span_phase_totals"]
+        assert "sample" in payload["phases"]
+        assert "ledger" not in payload
+        assert payload["phases"] == phase_totals(payload["spans"])
 
     def test_profile_flame_matches_report_flame(self, workspace, tmp_path, capsys):
         _run_traced(workspace, tmp_path, capsys)
