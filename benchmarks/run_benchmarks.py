@@ -12,8 +12,9 @@ supervised warm worker pool vs a one-shot (spawn-per-call) pool, the
 exact linear solver (Bareiss vs the Gauss–Jordan reference), and the
 sparse certified solver (kernel-streamed CSR assembly, a 10^4-state
 birth-death chain solved to a residual-certified 1e-9, a
-kernel-streamed 1000-state lazy cycle, and a 3-walker torus solved by
-CG) — and writes
+kernel-streamed 1000-state lazy cycle, a complete(40) walk whose BFS
+frontier the kernel expands in one batch, and a 3-walker torus solved
+by CG) — and writes
 ``BENCH_<date>.json`` with the median wall-clock of each plus SHA-256
 checksums of every result that must not drift.
 
@@ -38,6 +39,9 @@ Correctness gates (always enforced; any failure exits nonzero):
   validated against the dense solver at a dense-feasible size; ``1/n``
   on the lazy cycle, ``1/k`` on the torus), and an
   unreachable tolerance is *refused*, not silently mis-answered;
+* kernel-batched CSR assembly equals the interpreter-streamed assembly
+  bit for bit (same states, ``indptr``, ``indices`` and ``data``) on
+  the lazy cycle and the complete(40) walk;
 * loadgen QPS stays within 20% of the latest committed ``BENCH_*.json``
   baseline per backend (enforced only on a host with the same usable
   core count, and never under ``--quick``);
@@ -85,6 +89,7 @@ from repro.core.chain_builder import build_state_chain
 from repro.markov.linalg import identity, solve_exact, solve_exact_gauss
 from repro.perf import ParallelConfig, TransitionCache
 from repro.workloads import (
+    complete_graph,
     cycle_graph,
     layered_dag,
     random_walk_query,
@@ -544,11 +549,9 @@ def _ruin_probability(n: int, k: int, down: Fraction) -> Fraction:
 def bench_sparse(h: Harness) -> None:
     print("sparse certified solver — CSR assembly + (eps, delta) certificates")
     from repro.errors import SolveRefusedError
-    from repro.kernel import lower
     from repro.markov.absorption import long_run_event_probability
     from repro.sparse import (
         SparseChain,
-        assemble_sparse_chain,
         evaluate_forever_sparse,
         solve_long_run,
         sparse_chain_from_markov,
@@ -631,13 +634,12 @@ def bench_sparse(h: Harness) -> None:
 
     # (5) A kernel-streamed lazy cycle past 512 states: the shape that
     # made restarted GMRES spend its whole 512-step budget before
-    # falling back to LU.  The row times the solve alone; the one
-    # streaming pass that built the chain is ``assemble_s``.
+    # falling back to LU.  The row times the solve alone; building the
+    # chain is timed by ``sparse_assemble_lazy_cycle`` below.
     n_cycle = 600 if h.quick else 1_000
-    cycle_query, cycle_db = lower(
-        *random_walk_query(cycle_graph(n_cycle), "n0", f"n{n_cycle // 2}"))
-    assemble_s, cycle_chain = timed(lambda: assemble_sparse_chain(
-        cycle_query.kernel, cycle_db, event=cycle_query.event.holds), 1)
+    cycle_source = random_walk_query(cycle_graph(n_cycle), "n0", f"n{n_cycle // 2}")
+    assemble_s, cycle_chain = _bench_assembly(
+        h, "sparse_assemble_lazy_cycle", "lazy cycle", cycle_source)
     cycle_s, (cycle_value, cycle_cert, _) = timed(
         lambda: solve_long_run(cycle_chain, epsilon=epsilon), h.rounds)
     cycle_err = abs(cycle_value - 1 / n_cycle)
@@ -645,13 +647,21 @@ def bench_sparse(h: Harness) -> None:
              checksum({"interval": [repr(cycle_value - cycle_cert.bound),
                                     repr(cycle_value + cycle_cert.bound)]}),
              states=cycle_chain.size, assemble_s=round(assemble_s, 6),
+             assemble_us_per_state=round(assemble_s / cycle_chain.size * 1e6, 1),
              certificate=cycle_cert.as_dict())
     h.check("sparse_kernel_lazy_cycle_within_certificate",
             cycle_cert.satisfies() and cycle_err <= cycle_cert.bound <= epsilon,
             f"n={n_cycle}: |answer - 1/n| = {cycle_err:.3e} <= bound = "
             f"{cycle_cert.bound:.3e} <= eps = {epsilon:.0e}")
 
-    # (6) Three lazy walkers on a k-cycle: a 3-D torus, whose LU factor
+    # (6) A wide BFS frontier: every state of a complete-graph walk is
+    # queued after the first expansion, so the kernel expands them in
+    # one batch.
+    _bench_assembly(
+        h, "sparse_assemble_complete40", "complete(40)",
+        random_walk_query(complete_graph(40), "n0", "n5"))
+
+    # (7) Three lazy walkers on a k-cycle: a 3-D torus, whose LU factor
     # fills far past the input, so the rung must run CG rather than
     # factor it.  The stationary distribution is uniform: the first
     # walker sits at node 0 with probability 1/k.
@@ -681,6 +691,38 @@ def bench_sparse(h: Harness) -> None:
             f"{k}^3 states, solver {torus_cert.solver}: |answer - 1/k| = "
             f"{torus_err:.3e} <= bound = {torus_cert.bound:.3e} <= "
             f"eps = {epsilon:.0e}")
+
+
+def _bench_assembly(h: Harness, name: str, label: str, source):
+    """Time CSR assembly of ``source`` on the compiled kernel over
+    ``h.rounds`` rounds, record its CSR checksum and microseconds per
+    state, and check it against the interpreter-streamed assembly.
+    Returns (median seconds, chain)."""
+    from repro.kernel import extern_database, lower
+    from repro.sparse import assemble_sparse_chain
+
+    query, db = source
+    lowered, initial = lower(query, db)
+    assemble_s, chain = timed(lambda: assemble_sparse_chain(
+        lowered.kernel, initial, event=lowered.event.holds), h.rounds)
+    matrix = chain.matrix
+    h.record(name, assemble_s,
+             checksum({"indptr": matrix.indptr.tolist(),
+                       "indices": matrix.indices.tolist(),
+                       "data": [x.hex() for x in matrix.data.tolist()]}),
+             states=chain.size, nnz=chain.nnz,
+             assemble_us_per_state=round(assemble_s / chain.size * 1e6, 1))
+    reference = assemble_sparse_chain(query.kernel, db, event=query.event.holds)
+    identical = (
+        [extern_database(state) for state in chain.states] == list(reference.states)
+        and matrix.indptr.tolist() == reference.matrix.indptr.tolist()
+        and matrix.indices.tolist() == reference.matrix.indices.tolist()
+        and matrix.data.tobytes() == reference.matrix.data.tobytes()
+    )
+    h.check(f"{name}_matches_interpreter", identical,
+            f"{label}: {chain.size} states, {chain.nnz} entries; kernel CSR "
+            "== interpreter-streamed CSR (same states, bitwise-equal data)")
+    return assemble_s, chain
 
 
 def _walker_family(quick: bool):

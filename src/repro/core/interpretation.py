@@ -25,7 +25,7 @@ Conveniences beyond the bare definition, both used throughout the paper:
 from __future__ import annotations
 
 import random
-from typing import TYPE_CHECKING, Mapping
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 from repro.ctables.pctable import PCDatabase
 from repro.errors import SchemaError
@@ -172,6 +172,11 @@ class Interpretation:
                 )
             )
         return result
+
+    def expand(self, states: Sequence[Database]) -> list[Distribution[Database]]:
+        """:meth:`transition` of each state (the batch surface of
+        :meth:`repro.kernel.CompiledKernel.expand`)."""
+        return [self.transition(state) for state in states]
 
     def sample_transition(self, db: Database, rng: random.Random) -> Database:
         """Draw one possible next state in polynomial time."""

@@ -35,7 +35,7 @@ from repro.kernel.lowering import (
     source_database,
     source_query,
 )
-from repro.kernel.repair import repair_distribution_columnar, sample_repair_columnar
+from repro.kernel.repair import sample_repair_columnar
 from repro.kernel.symbols import SymbolTable
 
 __all__ = [
@@ -62,5 +62,4 @@ __all__ = [
     "fallback_total",
     "fallback_reasons",
     "sample_repair_columnar",
-    "repair_distribution_columnar",
 ]

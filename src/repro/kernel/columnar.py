@@ -87,7 +87,7 @@ def normalize_rows(data: np.ndarray) -> np.ndarray:
 class ColumnarRelation:
     """An immutable interned relation (normalized ID array + columns)."""
 
-    __slots__ = ("columns", "data", "_hash")
+    __slots__ = ("columns", "data", "_hash", "_memo")
 
     def __init__(self, columns: tuple[str, ...], data: np.ndarray, normalized: bool = False):
         self.columns = tuple(columns)
@@ -102,6 +102,19 @@ class ColumnarRelation:
         self.data = np.ascontiguousarray(array)
         self.data.setflags(write=False)
         self._hash: int | None = None
+        self._memo: dict | None = None
+
+    @classmethod
+    def _trusted(cls, columns: tuple[str, ...], data: np.ndarray) -> "ColumnarRelation":
+        """Wrap a normalized, C-contiguous ``int64`` array of matching
+        shape without checking it; the array becomes read-only."""
+        data.setflags(write=False)
+        relation = cls.__new__(cls)
+        relation.columns = columns
+        relation.data = data
+        relation._hash = None
+        relation._memo = None
+        return relation
 
     @classmethod
     def empty(cls, columns: tuple[str, ...]) -> "ColumnarRelation":
@@ -125,10 +138,12 @@ class ColumnarRelation:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ColumnarRelation):
             return NotImplemented
+        # Equal int64 arrays of one shape are equal byte strings, which
+        # compare far faster than np.array_equal on small relations.
         return (
             self.columns == other.columns
             and self.data.shape == other.data.shape
-            and bool(np.array_equal(self.data, other.data))
+            and self.data.tobytes() == other.data.tobytes()
         )
 
     def __hash__(self) -> int:
@@ -143,6 +158,13 @@ class ColumnarRelation:
     def __reduce__(self):
         # The cached hash stays behind: string hashes differ by process.
         return ColumnarRelation, (self.columns, self.data, True)
+
+    def memo(self) -> dict:
+        """Join indexes derived from the rows, kept with the immutable
+        relation and keyed by join columns; never pickled."""
+        if self._memo is None:
+            self._memo = {}
+        return self._memo
 
     def issubset(self, other: "ColumnarRelation") -> bool:
         if self.columns != other.columns:
@@ -211,12 +233,7 @@ class ColumnarDatabase:
     def __hash__(self) -> int:
         value = self._hash
         if value is None:
-            value = self._hash = hash(
-                tuple(
-                    (name, hash(self._relations[name]))
-                    for name in sorted(self._relations)
-                )
-            )
+            value = self._hash = hash(frozenset(self._relations.items()))
         return value
 
     def __repr__(self) -> str:

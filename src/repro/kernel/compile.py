@@ -31,7 +31,9 @@ load: a lowered query crosses process boundaries as it is.
 from __future__ import annotations
 
 import random
-from typing import Any, Callable, Iterable
+from fractions import Fraction
+from itertools import product
+from typing import Any, Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -51,8 +53,9 @@ from repro.kernel.columnar import (
     ColumnarDatabase,
     ColumnarRelation,
     intern_database,
+    normalize_rows,
 )
-from repro.kernel.repair import repair_distribution_columnar, sample_repair_columnar
+from repro.kernel.repair import repair_instances, sample_repair_columnar
 from repro.kernel.symbols import SymbolTable
 from repro.probability.distribution import Distribution
 from repro.relational import algebra
@@ -192,15 +195,137 @@ def _event_constants(event: QueryEvent, out: set) -> None:
 # Plan nodes
 # ---------------------------------------------------------------------------
 
+_ONE = Fraction(1)
+
+
+class _Batch:
+    """The states one :meth:`CompiledKernel.expand` call evaluates.
+
+    ``varying`` names the relations whose object differs between the
+    states: a deterministic node that reads none of them is the same for
+    every state and is evaluated once, on ``states[0]``.
+    """
+
+    __slots__ = ("states", "varying")
+
+    def __init__(self, states: Sequence[ColumnarDatabase], varying: frozenset[str]):
+        self.states = states
+        self.varying = varying
+
+
+class _Instances:
+    """A plan node's rows over a batch of states.
+
+    An instance is one state of the batch plus one combination of the
+    repair-key choices made so far.  ``data`` holds the rows of every
+    instance with the instance id in column 0, sorted and unique per
+    instance; ``owner[i]`` is the batch index of instance ``i``'s state
+    (non-decreasing, every state owns at least one instance) and
+    ``weights[i]`` its exact probability.  ``weights`` is None while
+    instance ``i`` is state ``i`` itself.
+    """
+
+    __slots__ = ("data", "owner", "weights")
+
+    def __init__(
+        self, data: np.ndarray, owner: np.ndarray, weights: list[Fraction] | None
+    ):
+        self.data = data
+        self.owner = owner
+        self.weights = weights
+
+    def __len__(self) -> int:
+        return self.owner.shape[0]
+
+
+def _states(count: int) -> np.ndarray:
+    return np.arange(count, dtype=np.int64)
+
+
+def _broadcast(rows: np.ndarray, count: int) -> np.ndarray:
+    """``rows`` copied into each of ``count`` instances."""
+    n = rows.shape[0]
+    out = np.zeros((n * count, 1 + rows.shape[1]), dtype=np.int64)
+    if count == 1:
+        out[:, 1:] = rows
+    else:
+        out[:, 0] = _states(count).repeat(n)
+        out[:, 1:] = np.tile(rows, (count, 1))
+    return out
+
+
+def _gather(data: np.ndarray, picks: np.ndarray) -> np.ndarray:
+    """The rows of instances ``picks``, those of ``picks[k]`` re-tagged ``k``."""
+    tags = data[:, 0]
+    lo = tags.searchsorted(picks)
+    sizes = tags.searchsorted(picks, side="right") - lo
+    index = (lo - sizes.cumsum() + sizes).repeat(sizes)
+    out = data[index + np.arange(index.shape[0])]
+    out[:, 0] = _states(picks.shape[0]).repeat(sizes)
+    return out
+
+
+def _pair(
+    left: _Instances, right: _Instances
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[Fraction] | None]:
+    """Pair both sides' instances of each state, left-major (the order of
+    ``Distribution.product``).  Returns both sides' rows re-tagged with
+    the pair ids, and the pairs' owners and weights."""
+    if right.weights is None:
+        return left.data, _gather(right.data, left.owner), left.owner, left.weights
+    if left.weights is None:
+        return _gather(left.data, right.owner), right.data, right.owner, right.weights
+    counts = np.bincount(right.owner)
+    reps = counts[left.owner]
+    left_pick = _states(len(left)).repeat(reps)
+    offsets = np.arange(left_pick.shape[0]) - (reps.cumsum() - reps).repeat(reps)
+    right_pick = (counts.cumsum() - counts)[left.owner].repeat(reps) + offsets
+    lw, rw = left.weights, right.weights
+    weights = [lw[i] * rw[j] for i, j in zip(left_pick.tolist(), right_pick.tolist())]
+    return (
+        _gather(left.data, left_pick),
+        _gather(right.data, right_pick),
+        left.owner[left_pick],
+        weights,
+    )
+
+
+def _normalized(data: np.ndarray) -> np.ndarray:
+    """``normalize_rows`` of instance-tagged rows, skipping rows that are
+    already sorted because each instance holds at most one."""
+    if data.shape[0] <= 1 or all((data[1:, 0] > data[:-1, 0]).tolist()):
+        return data
+    return normalize_rows(data)
+
+
+def _join_index(relation: ColumnarRelation, positions: list[int], universe: int):
+    """:func:`ops.join_index` of a relation no query writes, memoised on
+    the relation object.  A dynamic intern grows the universe, which
+    replaces the entry; racing threads store equal indexes."""
+    memo = relation.memo()
+    key = tuple(positions)
+    entry = memo.get(key)
+    if entry is None or entry[0] != universe:
+        index = ops.join_index(relation.data, positions, universe)
+        entry = memo[key] = (universe, index)
+    return entry[1]
+
 
 class _Node:
-    """One compiled operator; ``columns`` is the static output schema."""
+    """One compiled operator; ``columns`` is the static output schema and
+    ``refs`` the relations its subtree reads."""
 
-    __slots__ = ("columns", "deterministic", "table")
+    __slots__ = ("columns", "deterministic", "table", "refs")
 
-    def __init__(self, columns: tuple[str, ...], table: SymbolTable):
+    def __init__(
+        self,
+        columns: tuple[str, ...],
+        table: SymbolTable,
+        refs: frozenset[str] = frozenset(),
+    ):
         self.columns = columns
         self.table = table
+        self.refs = refs
         self.deterministic = True
 
     # Deterministic evaluation; only called when self.deterministic.
@@ -217,25 +342,37 @@ class _Node:
     def _sample(self, db: ColumnarDatabase, rng: random.Random) -> ColumnarRelation:
         raise NotImplementedError
 
-    def enumerate(self, db: ColumnarDatabase) -> Distribution[ColumnarRelation]:
-        """Mirror of :func:`prob_eval.enumerate_worlds`."""
-        if self.deterministic:
-            return Distribution.point(self.evaluate(db))
-        return self._enumerate(db)
+    def rows(self, batch: _Batch) -> ColumnarRelation | _Instances:
+        """This node over a batch: one relation when it is the same for
+        every state, else the rows of every instance."""
+        if self.deterministic and self.refs.isdisjoint(batch.varying):
+            return self.evaluate(batch.states[0])
+        return self._rows(batch)
 
-    def _enumerate(self, db: ColumnarDatabase) -> Distribution[ColumnarRelation]:
+    def _rows(self, batch: _Batch) -> _Instances:
         raise NotImplementedError
 
 
 class _RefNode(_Node):
-    __slots__ = ("name",)
+    __slots__ = ("name", "static")
 
-    def __init__(self, name, columns, table):
-        super().__init__(columns, table)
+    def __init__(self, name, columns, table, static=False):
+        super().__init__(columns, table, frozenset((name,)))
         self.name = name
+        # No query writes the relation, so its object lives as long as
+        # the session and may carry memoised indexes.
+        self.static = static
 
     def evaluate(self, db):
         return db[self.name]
+
+    def _rows(self, batch):
+        blocks = [state[self.name].data for state in batch.states]
+        sizes = [block.shape[0] for block in blocks]
+        data = np.empty((sum(sizes), 1 + len(self.columns)), dtype=np.int64)
+        data[:, 0] = _states(len(blocks)).repeat(sizes)
+        data[:, 1:] = np.concatenate(blocks)
+        return _Instances(data, _states(len(blocks)), None)
 
 
 class _LitNode(_Node):
@@ -249,15 +386,23 @@ class _LitNode(_Node):
         return self.relation
 
 
+def _memoisable(node: _Node) -> bool:
+    return isinstance(node, _LitNode) or (isinstance(node, _RefNode) and node.static)
+
+
 class _UnaryNode(_Node):
     __slots__ = ("child",)
 
     def __init__(self, child, columns, table):
-        super().__init__(columns, table)
+        super().__init__(columns, table, child.refs)
         self.child = child
         self.deterministic = child.deterministic
 
     def apply(self, relation: ColumnarRelation) -> ColumnarRelation:
+        raise NotImplementedError
+
+    def apply_rows(self, data: np.ndarray) -> np.ndarray:
+        """:meth:`apply` on instance-tagged rows."""
         raise NotImplementedError
 
     def evaluate(self, db):
@@ -266,24 +411,45 @@ class _UnaryNode(_Node):
     def _sample(self, db, rng):
         return self.apply(self.child.sample(db, rng))
 
-    def _enumerate(self, db):
-        return self.child.enumerate(db).map(self.apply)
+    def _rows(self, batch):
+        # This node differs between instances, so its child does too.
+        child = self.child.rows(batch)
+        return _Instances(self.apply_rows(child.data), child.owner, child.weights)
 
 
 class _BinaryNode(_Node):
     __slots__ = ("left", "right")
 
     def __init__(self, left, right, columns, table):
-        super().__init__(columns, table)
+        super().__init__(columns, table, left.refs | right.refs)
         self.left = left
         self.right = right
         self.deterministic = left.deterministic and right.deterministic
 
-    def apply(self, left: ColumnarRelation, right: ColumnarRelation) -> ColumnarRelation:
+    def apply_rows(
+        self, left: np.ndarray, right: np.ndarray, universe: int
+    ) -> np.ndarray:
+        """The operator on two sides' rows, both untagged or both tagged
+        with the same instance ids; ``universe`` bounds every id."""
         raise NotImplementedError
+
+    def with_right(self, left: _Instances, right: ColumnarRelation) -> np.ndarray:
+        """The right side is the same for every instance of the left."""
+        universe = max(len(self.table), len(left))
+        return self.apply_rows(left.data, _broadcast(right.data, len(left)), universe)
+
+    def with_left(self, left: ColumnarRelation, right: _Instances) -> np.ndarray:
+        """The left side is the same for every instance of the right."""
+        universe = max(len(self.table), len(right))
+        return self.apply_rows(_broadcast(left.data, len(right)), right.data, universe)
 
     def evaluate(self, db):
         return self.apply(self.left.evaluate(db), self.right.evaluate(db))
+
+    def apply(self, left, right):
+        return ColumnarRelation._trusted(
+            self.columns, self.apply_rows(left.data, right.data, len(self.table))
+        )
 
     def _sample(self, db, rng):
         # Left before right: the frozenset sampler recurses in this
@@ -292,9 +458,15 @@ class _BinaryNode(_Node):
         right = self.right.sample(db, rng)
         return self.apply(left, right)
 
-    def _enumerate(self, db):
-        pairs = self.left.enumerate(db).product(self.right.enumerate(db))
-        return pairs.map(lambda pair: self.apply(pair[0], pair[1]))
+    def _rows(self, batch):
+        left, right = self.left.rows(batch), self.right.rows(batch)
+        if isinstance(right, ColumnarRelation):
+            return _Instances(self.with_right(left, right), left.owner, left.weights)
+        if isinstance(left, ColumnarRelation):
+            return _Instances(self.with_left(left, right), right.owner, right.weights)
+        a, b, owner, weights = _pair(left, right)
+        universe = max(len(self.table), owner.shape[0])
+        return _Instances(self.apply_rows(a, b, universe), owner, weights)
 
 
 class _SelectNode(_UnaryNode):
@@ -311,18 +483,27 @@ class _SelectNode(_UnaryNode):
         # A subset of a normalized array stays normalized.
         return ColumnarRelation(self.columns, relation.data[mask], normalized=True)
 
+    def apply_rows(self, data):
+        if data.shape[0] == 0:
+            return data
+        return data[self.mask_fn(data[:, 1:])]
+
 
 class _ProjectNode(_UnaryNode):
-    __slots__ = ("indices",)
+    __slots__ = ("indices", "tagged")
 
     def __init__(self, child, columns, indices, table):
         super().__init__(child, columns, table)
         self.indices = indices
+        self.tagged = np.asarray([0] + [i + 1 for i in indices], dtype=np.int64)
 
     def apply(self, relation):
         return ColumnarRelation(
             self.columns, ops.project(relation.data, self.indices), normalized=True
         )
+
+    def apply_rows(self, data):
+        return _normalized(data.take(self.tagged, axis=1))
 
 
 class _RenameNode(_UnaryNode):
@@ -330,6 +511,9 @@ class _RenameNode(_UnaryNode):
 
     def apply(self, relation):
         return ColumnarRelation(self.columns, relation.data, normalized=True)
+
+    def apply_rows(self, data):
+        return data
 
 
 class _ExtendedProjectNode(_UnaryNode):
@@ -340,54 +524,46 @@ class _ExtendedProjectNode(_UnaryNode):
         super().__init__(child, columns, table)
         self.sources = sources
 
-    def apply(self, relation):
-        n = len(relation)
-        parts = []
+    def _extend(self, data: np.ndarray, offset: int, parts: list) -> np.ndarray:
+        n = data.shape[0]
         for kind, value in self.sources:
             if kind == "col":
-                parts.append(relation.data[:, value])
+                parts.append(data[:, value + offset])
             else:
                 parts.append(np.full(n, value, dtype=np.int64))
         if parts:
-            data = np.stack(parts, axis=1)
-        else:
-            data = np.empty((n, 0), dtype=np.int64)
-        return ColumnarRelation(self.columns, data)
+            return np.stack(parts, axis=1)
+        return np.empty((n, 0), dtype=np.int64)
+
+    def apply(self, relation):
+        return ColumnarRelation(self.columns, self._extend(relation.data, 0, []))
+
+    def apply_rows(self, data):
+        return _normalized(self._extend(data, 1, [data[:, 0]]))
 
 
 class _UnionNode(_BinaryNode):
     __slots__ = ()
 
-    def apply(self, left, right):
-        return ColumnarRelation(
-            self.columns,
-            ops.union(left.data, right.data, len(self.table)),
-            normalized=True,
-        )
+    def apply_rows(self, left, right, universe):
+        return ops.union(left, right, universe)
 
 
 class _DifferenceNode(_BinaryNode):
     __slots__ = ()
 
-    def apply(self, left, right):
-        return ColumnarRelation(
-            self.columns,
-            ops.difference(left.data, right.data, len(self.table)),
-            normalized=True,
-        )
-
-
-class _ProductNode(_BinaryNode):
-    __slots__ = ()
-
-    def apply(self, left, right):
-        return ColumnarRelation(
-            self.columns, ops.product(left.data, right.data), normalized=True
-        )
+    def apply_rows(self, left, right, universe):
+        return ops.difference(left, right, universe)
 
 
 class _JoinNode(_BinaryNode):
-    __slots__ = ("left_shared", "right_shared", "right_keep")
+    """Natural join; with no shared column, the Cartesian product.
+
+    Its output is normalized without a sort: left rows come in order and
+    each one's matches in the right side's order.
+    """
+
+    __slots__ = ("left_shared", "right_shared", "right_keep", "left_keep", "swap_order")
 
     def __init__(self, left, right, columns, table):
         super().__init__(left, right, columns, table)
@@ -397,42 +573,106 @@ class _JoinNode(_BinaryNode):
         self.right_keep = [
             i for i, c in enumerate(right.columns) if c not in left.columns
         ]
+        self.left_keep = [
+            i for i, c in enumerate(left.columns) if c not in right.columns
+        ]
+        # Column order of right ⋈ left, mapped back to this node's.
+        swapped = right.columns + tuple(left.columns[i] for i in self.left_keep)
+        self.swap_order = [0] + [swapped.index(c) + 1 for c in columns]
+
+    def _join(self, a, a_shared, side, b: ColumnarRelation, b_shared, b_keep):
+        """``a ⋈ b``; ``a``'s rows may carry an instance column, ``side``
+        is the plan node ``b`` came from."""
+        if not b_shared:
+            return ops.product(a, b.data)
+        universe = len(self.table)
+        index = _join_index(b, b_shared, universe) if _memoisable(side) else None
+        return ops.natural_join(a, a_shared, b.data, b_shared, b_keep, universe, index)
 
     def apply(self, left, right):
-        if not self.left_shared:
-            data = ops.product(left.data, right.data)
-            return ColumnarRelation(self.columns, data, normalized=True)
-        data = ops.natural_join(
-            left.data,
-            self.left_shared,
-            right.data,
-            self.right_shared,
-            self.right_keep,
-            len(self.table),
+        data = self._join(
+            left.data, self.left_shared, self.right, right,
+            self.right_shared, self.right_keep,
         )
-        return ColumnarRelation(self.columns, data)
+        return ColumnarRelation._trusted(self.columns, data)
+
+    def apply_rows(self, left, right, universe):
+        return ops.natural_join(
+            left,
+            [0] + [i + 1 for i in self.left_shared],
+            right,
+            [0] + [i + 1 for i in self.right_shared],
+            [i + 1 for i in self.right_keep],
+            universe,
+        )
+
+    def with_right(self, left, right):
+        return self._join(
+            left.data, [i + 1 for i in self.left_shared], self.right, right,
+            self.right_shared, self.right_keep,
+        )
+
+    def with_left(self, left, right):
+        swapped = self._join(
+            right.data, [i + 1 for i in self.right_shared], self.left, left,
+            self.left_shared, self.left_keep,
+        )
+        return normalize_rows(swapped[:, self.swap_order])
 
 
 class _RepairNode(_UnaryNode):
-    __slots__ = ("key", "weight")
+    __slots__ = ("key", "weight", "memo", "key_idx", "widx")
 
     def __init__(self, child, key, weight, table):
         super().__init__(child, child.columns, table)
         self.key = key
         self.weight = weight
         self.deterministic = False
+        # Group weight ids -> exact choice probabilities.
+        self.memo: dict = {}
+        # Positions in instance-tagged rows (column 0 is the instance);
+        # a kernel's schema check has made sure the columns exist.
+        position = {name: i + 1 for i, name in enumerate(self.columns)}
+        self.key_idx = [position.get(name) for name in key]
+        self.widx = None if weight is None else position.get(weight)
 
     def _sample(self, db, rng):
         child = self.child.sample(db, rng)
         return sample_repair_columnar(child, self.table, rng, self.key, self.weight)
 
-    def _enumerate(self, db):
-        child = self.child.enumerate(db)
-        return child.bind(
-            lambda relation: repair_distribution_columnar(
-                relation, self.table, self.key, self.weight
-            )
+    def _rows(self, batch):
+        child = self.child.rows(batch)
+        if isinstance(child, ColumnarRelation):
+            count = len(batch.states)
+            child = _Instances(_broadcast(child.data, count), _states(count), None)
+        data, owner, weights = repair_instances(
+            child.data, child.owner, child.weights, self.table,
+            self.key_idx, self.widx, self.memo,
         )
+        return _Instances(data, owner, weights)
+
+
+def _worlds(
+    result: ColumnarRelation | _Instances, count: int, columns: tuple[str, ...]
+) -> list[list[tuple[ColumnarRelation, Fraction]]]:
+    """Per batch state, the distinct relations of one plan's result with
+    their summed probabilities, in first-occurrence order."""
+    if isinstance(result, ColumnarRelation):
+        return [[(result, _ONE)]] * count
+    data = result.data
+    bounds = data[:, 0].searchsorted(_states(len(result) + 1)).tolist()
+    weights = result.weights
+    if weights is None:
+        weights = [_ONE] * len(result)
+    seen: list[dict[ColumnarRelation, Fraction]] = [{} for _ in range(count)]
+    wrap = ColumnarRelation._trusted
+    owners = result.owner.tolist()
+    for state, weight, lo, hi in zip(owners, weights, bounds, bounds[1:]):
+        # A copy, not a view: a kept state must not hold the whole batch.
+        relation = wrap(columns, data[lo:hi, 1:].copy())
+        row = seen[state]
+        row[relation] = row[relation] + weight if relation in row else weight
+    return [list(row.items()) for row in seen]
 
 
 # ---------------------------------------------------------------------------
@@ -494,28 +734,35 @@ def _compile_expression(
     expr: Expression,
     schema: dict[str, tuple[str, ...]],
     table: SymbolTable,
+    static: frozenset[str] = frozenset(),
 ) -> _Node:
+    """Plan ``expr``; ``static`` names the relations no query writes."""
+
+    def compile_child(child: Expression) -> _Node:
+        return _compile_expression(child, schema, table, static)
+
     if isinstance(expr, algebra.RelationRef):
-        return _RefNode(expr.name, expr.output_columns(schema), table)
+        return _RefNode(
+            expr.name, expr.output_columns(schema), table, expr.name in static
+        )
     if isinstance(expr, algebra.Literal):
         from repro.kernel.columnar import intern_relation
 
         return _LitNode(intern_relation(expr.relation, table), table)
     if isinstance(expr, algebra.Select):
-        child = _compile_expression(expr.child, schema, table)
+        child = compile_child(expr.child)
         mask_fn = _compile_predicate(expr.predicate, child.columns, table)
         return _SelectNode(child, mask_fn, table)
     if isinstance(expr, algebra.Project):
-        child = _compile_expression(expr.child, schema, table)
+        child = compile_child(expr.child)
         indices = [child.columns.index(c) for c in expr.columns]
         return _ProjectNode(child, tuple(expr.columns), indices, table)
     if isinstance(expr, algebra.Rename):
-        child = _compile_expression(expr.child, schema, table)
+        child = compile_child(expr.child)
         renamed = tuple(expr.mapping.get(c, c) for c in child.columns)
-        node = _RenameNode(child, renamed, table)
-        return node
+        return _RenameNode(child, renamed, table)
     if isinstance(expr, algebra.ExtendedProject):
-        child = _compile_expression(expr.child, schema, table)
+        child = compile_child(expr.child)
         columns = tuple(name for name, _source in expr.outputs)
         sources = []
         for _name, (kind, value) in expr.outputs:
@@ -525,26 +772,31 @@ def _compile_expression(
                 sources.append(("const", table.intern(value)))
         return _ExtendedProjectNode(child, columns, sources, table)
     if isinstance(expr, algebra.Union):
-        left = _compile_expression(expr.left, schema, table)
-        right = _compile_expression(expr.right, schema, table)
+        left = compile_child(expr.left)
+        right = compile_child(expr.right)
         return _UnionNode(left, right, left.columns, table)
     if isinstance(expr, algebra.Difference):
-        left = _compile_expression(expr.left, schema, table)
-        right = _compile_expression(expr.right, schema, table)
+        left = compile_child(expr.left)
+        right = compile_child(expr.right)
         return _DifferenceNode(left, right, left.columns, table)
     if isinstance(expr, algebra.Product):
-        left = _compile_expression(expr.left, schema, table)
-        right = _compile_expression(expr.right, schema, table)
-        return _ProductNode(left, right, left.columns + right.columns, table)
+        left = compile_child(expr.left)
+        right = compile_child(expr.right)
+        clash = set(left.columns) & set(right.columns)
+        if clash:
+            raise KernelCompileError(
+                f"product inputs share columns {sorted(clash)!r}; rename first"
+            )
+        return _JoinNode(left, right, left.columns + right.columns, table)
     if isinstance(expr, algebra.NaturalJoin):
-        left = _compile_expression(expr.left, schema, table)
-        right = _compile_expression(expr.right, schema, table)
+        left = compile_child(expr.left)
+        right = compile_child(expr.right)
         columns = left.columns + tuple(
             c for c in right.columns if c not in left.columns
         )
         return _JoinNode(left, right, columns, table)
     if isinstance(expr, algebra.RepairKey):
-        child = _compile_expression(expr.child, schema, table)
+        child = compile_child(expr.child)
         return _RepairNode(child, tuple(expr.key), expr.weight, table)
     raise KernelCompileError(
         f"expression node {type(expr).__name__} is not kernel-lowerable"
@@ -707,6 +959,7 @@ class CompiledKernel:
         self.plans = plans
         self.schema_map = schema
         self._sorted_names = sorted(plans)
+        self._refs = frozenset().union(*(plan.refs for plan in plans.values()))
 
     # -- schema ------------------------------------------------------------
 
@@ -735,17 +988,56 @@ class CompiledKernel:
     # -- semantics ---------------------------------------------------------
 
     def transition(self, db: ColumnarDatabase) -> Distribution[ColumnarDatabase]:
-        result: Distribution[ColumnarDatabase] = Distribution.point(db)
-        for name in self._sorted_names:
-            worlds = self.plans[name].enumerate(db)
-            result = result.bind(
-                lambda state, name=name, worlds=worlds: worlds.map(
-                    lambda relation, name=name, state=state: state.with_relation(
-                        name, relation
-                    )
-                )
-            )
-        return result
+        return self.expand([db])[0]
+
+    def expand(
+        self, states: Sequence[ColumnarDatabase]
+    ) -> list[Distribution[ColumnarDatabase]]:
+        """The exact transition rows of a batch of states, one array pass
+        per plan node for the whole batch.
+
+        Row ``i`` equals the interpreter's ``transition`` of
+        ``states[i]``: the same successors in the same first-occurrence
+        order, with equal ``Fraction`` weights.  A relation read by a
+        query is evaluated once when every state holds the same object
+        (always, for relations no query writes), so states that differ
+        there are still expanded correctly, only more slowly.
+        """
+        if not states:
+            return []
+        first = states[0]
+        varying = frozenset(
+            name
+            for name in self._refs
+            if any(state[name] is not first[name] for state in states[1:])
+        ) if len(states) > 1 else frozenset()
+        batch = _Batch(states, varying)
+        names = self._sorted_names
+        worlds = [
+            _worlds(self.plans[name].rows(batch), len(states), self.plans[name].columns)
+            for name in names
+        ]
+        rows: list[Distribution[ColumnarDatabase]] = []
+        for index, state in enumerate(states):
+            choices = [per_state[index] for per_state in worlds]
+            if len(choices) == 1:
+                name = names[0]
+                row = {
+                    state.with_relation(name, relation): weight
+                    for relation, weight in choices[0]
+                }
+            else:
+                # First name outermost, as in Interpretation.transition;
+                # distinct relations per name make every successor new.
+                row = {}
+                for combo in product(*choices):
+                    weight = _ONE
+                    for _relation, factor in combo:
+                        weight = weight * factor
+                    updates = {name: rel for name, (rel, _) in zip(names, combo)}
+                    row[state.with_relations(updates)] = weight
+            rows.append(Distribution._trusted(row))
+        return rows
 
     def sample_transition(
         self, db: ColumnarDatabase, rng: random.Random
@@ -778,8 +1070,9 @@ class CompiledKernel:
 def _recompile_kernel(interpretation, table: SymbolTable, schema) -> CompiledKernel:
     """Plan ``interpretation`` against an existing symbol table (the
     unpickling half of :meth:`CompiledKernel.__reduce__`)."""
+    static = frozenset(schema) - frozenset(interpretation.queries)
     plans = {
-        name: _compile_expression(expression, schema, table)
+        name: _compile_expression(expression, schema, table, static)
         for name, expression in sorted(interpretation.queries.items())
     }
     return CompiledKernel(interpretation, table, plans, schema)

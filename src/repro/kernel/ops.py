@@ -33,6 +33,7 @@ __all__ = [
     "project",
     "product",
     "natural_join",
+    "join_index",
     "member_mask",
 ]
 
@@ -138,6 +139,33 @@ def product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.concatenate([left, right], axis=1)
 
 
+def _key_column(
+    data: np.ndarray, columns: list[int], universe: int
+) -> np.ndarray | None:
+    """:func:`encode_rows` of ``data[:, columns]``; one column is its own
+    key, read without a copy."""
+    if len(columns) == 1:
+        return data[:, columns[0]]
+    return encode_rows(np.ascontiguousarray(data[:, columns]), universe)
+
+
+def join_index(
+    b: np.ndarray, b_shared: list[int], universe: int
+) -> tuple[np.ndarray, np.ndarray | None] | None:
+    """What :func:`natural_join` searches on its right side: the encoded
+    shared-column keys in ascending order and the stable order that sorts
+    them (None when they already ascend), or None when keys overflow."""
+    kb = _key_column(b, b_shared, universe)
+    if kb is None:
+        return None
+    if b_shared == list(range(len(b_shared))):
+        # The shared block is a prefix of b's (lexicographically sorted)
+        # rows, so its encoded keys are already ascending.
+        return kb, None
+    order = kb.argsort(kind="stable")
+    return kb[order], order
+
+
 def natural_join(
     a: np.ndarray,
     a_shared: list[int],
@@ -145,50 +173,45 @@ def natural_join(
     b_shared: list[int],
     b_keep: list[int],
     universe: int,
+    index: tuple[np.ndarray, np.ndarray | None] | None = None,
 ) -> np.ndarray:
     """Natural join: match the shared-column blocks, keep ``b_keep``
-    columns of the right side.  Returns an (un-normalized) row block;
-    the caller normalizes once.
+    columns of the right side.  ``index`` is ``join_index(b, b_shared,
+    universe)`` when the caller keeps it.
+
+    The result is normalized when both inputs are: left rows come in
+    order, and each one's matches in the right side's order.
     """
+    width = a.shape[1]
     if a.shape[0] == 0 or b.shape[0] == 0:
-        return np.empty((0, a.shape[1] + len(b_keep)), dtype=np.int64)
-    ka = encode_rows(np.ascontiguousarray(a[:, a_shared]), universe)
-    kb = encode_rows(np.ascontiguousarray(b[:, b_shared]), universe)
-    if ka is None or kb is None:
+        return np.empty((0, width + len(b_keep)), dtype=np.int64)
+    ka = _key_column(a, a_shared, universe)
+    if index is None:
+        index = join_index(b, b_shared, universe)
+    if ka is None or index is None:
         return _join_fallback(a, a_shared, b, b_shared, b_keep)
-    if b_shared == list(range(len(b_shared))):
-        # The shared block is a prefix of b's (lexicographically sorted)
-        # rows, so its encoded keys are already ascending.
-        order = None
-        kb_sorted = kb
-    else:
-        order = np.argsort(kb, kind="stable")
-        kb_sorted = kb[order]
+    kb_sorted, order = index
     if a.shape[0] == 1:
         # Singleton left side (the frontier relation of every walk
         # workload): one binary search, one contiguous slice.
-        lo = int(np.searchsorted(kb_sorted, ka[0], side="left"))
-        hi = int(np.searchsorted(kb_sorted, ka[0], side="right"))
-        if lo == hi:
-            return np.empty((0, a.shape[1] + len(b_keep)), dtype=np.int64)
-        right_rows = np.arange(lo, hi) if order is None else order[lo:hi]
-        left_rows = np.zeros(hi - lo, dtype=np.int64)
+        key = ka[0]
+        lo = int(kb_sorted.searchsorted(key))
+        hi = int(kb_sorted.searchsorted(key, side="right"))
+        right_rows = slice(lo, hi) if order is None else order[lo:hi]
+        out = np.empty((hi - lo, width + len(b_keep)), dtype=np.int64)
+        out[:, :width] = a[0]
     else:
-        lo = np.searchsorted(kb_sorted, ka, side="left")
-        hi = np.searchsorted(kb_sorted, ka, side="right")
-        counts = hi - lo
+        lo = kb_sorted.searchsorted(ka)
+        counts = kb_sorted.searchsorted(ka, side="right") - lo
         total = int(counts.sum())
-        if total == 0:
-            return np.empty((0, a.shape[1] + len(b_keep)), dtype=np.int64)
-        left_rows = np.repeat(np.arange(a.shape[0]), counts)
-        offsets = np.arange(total) - np.repeat(np.cumsum(counts) - counts, counts)
-        right_rows = np.repeat(lo, counts) + offsets
+        offsets = np.arange(total) - (counts.cumsum() - counts).repeat(counts)
+        right_rows = lo.repeat(counts) + offsets
         if order is not None:
             right_rows = order[right_rows]
-    total = right_rows.shape[0]
-    left_part = a[left_rows]
-    right_part = b[right_rows][:, b_keep] if b_keep else np.empty((total, 0), dtype=np.int64)
-    return np.concatenate([left_part, right_part], axis=1)
+        out = np.empty((total, width + len(b_keep)), dtype=np.int64)
+        out[:, :width] = a.repeat(counts, axis=0)
+    out[:, width:] = b[right_rows].take(b_keep, axis=1)
+    return out
 
 
 def _join_fallback(

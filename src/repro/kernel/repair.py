@@ -13,24 +13,33 @@ against the same sequential float accumulation.  A fixed seed therefore
 draws the same worlds here and in the frozenset interpreter.
 
 Footnote 1 (merging rows that agree on the non-weight columns by
-summing their weights) is detected with one ``np.unique`` over the
-non-weight block; when it fires — rare in the paper's workloads — the
+summing their weights) is detected on sorted rows by comparing each row
+with the next; when it fires — rare in the paper's workloads — the
 summed fractions are computed exactly and interned dynamically.
+
+:func:`sample_repair_columnar` draws one world of one relation;
+:func:`repair_instances` enumerates every world of every instance of a
+batch (:meth:`repro.kernel.CompiledKernel.expand`) with exact
+``Fraction`` probabilities.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 
-from repro.kernel.columnar import ColumnarRelation
+from repro.kernel.columnar import ColumnarRelation, normalize_rows
 from repro.kernel.ops import encode_rows
 from repro.kernel.symbols import SymbolTable
-from repro.probability.distribution import Distribution, product_distribution
 
-__all__ = ["sample_repair_columnar", "repair_distribution_columnar"]
+__all__ = ["sample_repair_columnar", "repair_instances"]
+
+#: Distinct groups a repair node remembers the probabilities of; past
+#: it the memo starts over, which bounds its memory.
+_MEMO_LIMIT = 4096
 
 
 def _validate_weights(data: np.ndarray, widx: int, table: SymbolTable) -> None:
@@ -179,47 +188,168 @@ def sample_repair_columnar(
     )
 
 
-def repair_distribution_columnar(
-    relation: ColumnarRelation,
+def repair_instances(
+    data: np.ndarray,
+    owner: np.ndarray,
+    weights: list[Fraction] | None,
     table: SymbolTable,
-    key: tuple[str, ...] = (),
-    weight: str | None = None,
-) -> Distribution[ColumnarRelation]:
-    """All possible worlds of ``repair-key`` over a columnar relation.
+    key_idx: list[int],
+    widx: int | None,
+    memo: dict,
+) -> tuple[np.ndarray, np.ndarray, list[Fraction] | None]:
+    """All possible worlds of ``repair-key`` over a batch of instances.
 
-    Probabilities are exact fractions equal to those of
-    :func:`repro.relational.repair.repair_distribution` on the externed
-    relation (world-by-world).
+    ``data`` holds the input rows of every instance, the instance id in
+    column 0, sorted and unique per instance; ``owner[i]`` is the batch
+    state of instance ``i`` and ``weights[i]`` its probability (None:
+    every instance has probability 1).  ``key_idx`` and ``widx`` index
+    columns of ``data``.  Returns the output instances in the same
+    form: instance ``i`` becomes the product of its groups' choices, the
+    first group varying slowest and each group's rows in canonical
+    order, which is the world order of the per-relation
+    :func:`repro.relational.repair.repair_distribution`.  An instance
+    with no rows is one world, itself.
+
+    ``memo`` maps a group's weight ids (or, unweighted, its size) to its
+    exact choice probabilities, so ``Fraction`` arithmetic runs once per
+    distinct group, not once per row.
     """
-    if len(relation) == 0:
-        return Distribution.point(relation)
-    widx = relation.column_index(weight) if weight is not None else None
-    data = relation.data
+    if data.shape[0] == 0:
+        return data, owner, weights
+    width = data.shape[1]
+    prefix = key_idx == list(range(1, len(key_idx) + 1))
+    weight_last = widx is None or widx == width - 1
+    if not weight_last:
+        # Order by (instance, non-weight columns, weight), so rows that
+        # footnote 1 merges sit side by side.
+        others = [c for c in range(width) if c != widx]
+        data = data[np.lexsort(tuple(data[:, c] for c in reversed(others + [widx])))]
+    diff = data[1:] != data[:-1]
     if widx is not None:
-        data = _merge_duplicate_weight_rows(data, widx, table)
-    key_idx = [relation.column_index(c) for c in key]
-    sorted_data, starts, ends = _canonical_group_sort(
-        data, key_idx, table, assume_sorted=data is relation.data
+        changed = (diff[:, :-1] if weight_last else diff[:, others]).any(axis=1)
+        if not all(changed.tolist()):
+            data = _merge_runs(data, changed, widx, table)
+            diff = None
+    rank = table.rank_array()
+    # Rows are sorted by (instance, full row): the canonical (instance,
+    # key, full row) order when the key is a column prefix and raw ids
+    # are in canonical order.
+    if rank is not None or not prefix or not weight_last:
+        view = data[:, 1:] if rank is None else rank[data[:, 1:]]
+        sort_keys = [view[:, i] for i in reversed(range(width - 1))]
+        sort_keys += [view[:, i - 1] for i in reversed(key_idx)] + [data[:, 0]]
+        data = data[np.lexsort(tuple(sort_keys))]
+        diff = None
+    if diff is None:
+        diff = data[1:] != data[:-1]
+    block = diff[:, : len(key_idx) + 1] if prefix else diff[:, [0] + key_idx]
+    n = data.shape[0]
+    starts = [0] + [i + 1 for i in block.any(axis=1).nonzero()[0].tolist()]
+    ends = starts[1:] + [n]
+    if len(memo) > _MEMO_LIMIT:
+        memo.clear()
+    if widx is None:
+        probabilities = [
+            _uniform(end - start, memo) for start, end in zip(starts, ends)
+        ]
+    else:
+        ids = data[:, widx].tolist()
+        probabilities = []
+        for start, end in zip(starts, ends):
+            signature = tuple(ids[start:end])
+            choice = memo.get(signature)
+            if choice is None:
+                choice = memo[signature] = _weighted(signature, table)
+            probabilities.append(choice)
+    parents = data[:, 0]
+    tags = parents.tolist()
+    group_instance = [tags[start] for start in starts]
+    if group_instance == list(range(owner.shape[0])):
+        # One group per instance: every row is a world of its own.
+        flat = [p for choice in probabilities for p in choice]
+        if weights is not None:
+            flat = [weights[i] * p for i, p in zip(tags, flat)]
+        out = data.copy()
+        out[:, 0] = np.arange(n, dtype=np.int64)
+        return out, owner.take(parents), flat
+    return _combine_groups(
+        data, owner, weights, starts, ends, group_instance, probabilities,
+        sorted_rows=rank is None and prefix,
     )
-    per_group: list[Distribution[int]] = []
-    for start, end in zip(starts, ends):
-        if widx is None:
-            per_group.append(
-                Distribution({i: Fraction(1) for i in range(start, end)})
+
+
+def _uniform(size: int, memo: dict) -> tuple[Fraction, ...]:
+    choice = memo.get(size)
+    if choice is None:
+        choice = memo[size] = (Fraction(1, size),) * size
+    return choice
+
+
+def _weighted(ids: tuple[int, ...], table: SymbolTable) -> tuple[Fraction, ...]:
+    """Exact choice probabilities of one group's weight ids; validates
+    each weight like the interpreter."""
+    weights = [table.weight_fraction(symbol_id) for symbol_id in ids]
+    total = sum(weights, Fraction(0))
+    return tuple(weight / total for weight in weights)
+
+
+def _merge_runs(
+    data: np.ndarray, changed: np.ndarray, widx: int, table: SymbolTable
+) -> np.ndarray:
+    """Footnote 1: merge each run of rows that ``changed`` does not mark
+    as differing from their predecessor into the run's first row,
+    summing P."""
+    rows = data.copy()
+    keep = np.ones(rows.shape[0], dtype=bool)
+    keep[1:] = changed
+    starts = keep.nonzero()[0].tolist()
+    for start, end in zip(starts, starts[1:] + [rows.shape[0]]):
+        if end - start > 1:
+            total = sum(
+                (table.weight_fraction(i) for i in rows[start:end, widx].tolist()),
+                Fraction(0),
             )
-        else:
-            per_group.append(
-                Distribution(
-                    {
-                        i: table.weight_fraction(int(sorted_data[i, widx]))
-                        for i in range(start, end)
-                    }
-                )
-            )
-    joint = product_distribution(per_group)
-    columns = relation.columns
-    return joint.map(
-        lambda combo: ColumnarRelation(
-            columns, sorted_data[np.asarray(combo, dtype=np.int64)]
-        )
-    )
+            rows[start, widx] = table.intern(total)
+    return rows[keep]
+
+
+def _combine_groups(
+    data: np.ndarray,
+    owner: np.ndarray,
+    weights: list[Fraction] | None,
+    starts: list[int],
+    ends: list[int],
+    group_instance: list[int],
+    probabilities: list[tuple[Fraction, ...]],
+    sorted_rows: bool,
+) -> tuple[np.ndarray, np.ndarray, list[Fraction]]:
+    """The general case of :func:`repair_instances`: instances with
+    several groups, or with none."""
+    out_owner: list[int] = []
+    out_weights: list[Fraction] = []
+    picks: list[int] = []
+    sizes: list[int] = []
+    owners = owner.tolist()
+    g = 0
+    for instance in range(len(owners)):
+        parent = Fraction(1) if weights is None else weights[instance]
+        first = g
+        while g < len(starts) and group_instance[g] == instance:
+            g += 1
+        choices = [
+            list(zip(range(starts[k], ends[k]), probabilities[k]))
+            for k in range(first, g)
+        ]
+        for combo in product(*choices):
+            weight = parent
+            for row, p in combo:
+                picks.append(row)
+                weight = weight * p
+            sizes.append(len(combo))
+            out_weights.append(weight)
+            out_owner.append(owners[instance])
+    out = data[np.asarray(picks, dtype=np.int64)]
+    out[:, 0] = np.repeat(np.arange(len(sizes), dtype=np.int64), sizes)
+    if not sorted_rows:
+        out = normalize_rows(out)
+    return out, np.asarray(out_owner, dtype=np.int64), out_weights

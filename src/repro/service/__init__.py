@@ -18,35 +18,55 @@ into a long-running **query service**:
   HTTP server and its urllib client (``repro serve`` / ``repro submit``).
 """
 
-from repro.service.client import ServiceClient
-from repro.service.http import ServiceServer, make_server
-from repro.service.metrics import ServiceMetrics
-from repro.service.request import PRIORITIES, SEMANTICS, QueryRequest
-from repro.service.result_cache import DEFAULT_RESULT_CACHE_SIZE, ResultCache
-from repro.service.scheduler import (
-    CANCELLED,
-    DEFAULT_QUEUE_SIZE,
-    DEFAULT_WORKERS,
-    DONE,
-    FAILED,
-    FINISHED_STATES,
-    QUEUED,
-    RUNNING,
-    Job,
-    JobScheduler,
-)
-from repro.service.service import (
-    DEFAULT_MAX_BUDGET,
-    QueryService,
-    ServiceConfig,
-)
-from repro.service.session import (
-    DEFAULT_SESSION_POOL_SIZE,
-    DEFAULT_TRANSITION_CACHE_SIZE,
-    EngineSession,
-    SessionPool,
-    result_payload,
-)
+from importlib import import_module
+from typing import Any
+
+#: Public name -> the submodule defining it.  Attributes load on first
+#: use, so a caller that needs only sessions and requests (the CLI's
+#: evaluation commands) never imports the HTTP server or client.
+_EXPORTS = {
+    "ServiceClient": "client",
+    "ServiceServer": "http",
+    "make_server": "http",
+    "ServiceMetrics": "metrics",
+    "PRIORITIES": "request",
+    "SEMANTICS": "request",
+    "QueryRequest": "request",
+    "DEFAULT_RESULT_CACHE_SIZE": "result_cache",
+    "ResultCache": "result_cache",
+    "CANCELLED": "scheduler",
+    "DEFAULT_QUEUE_SIZE": "scheduler",
+    "DEFAULT_WORKERS": "scheduler",
+    "DONE": "scheduler",
+    "FAILED": "scheduler",
+    "FINISHED_STATES": "scheduler",
+    "QUEUED": "scheduler",
+    "RUNNING": "scheduler",
+    "Job": "scheduler",
+    "JobScheduler": "scheduler",
+    "DEFAULT_MAX_BUDGET": "service",
+    "QueryService": "service",
+    "ServiceConfig": "service",
+    "DEFAULT_SESSION_POOL_SIZE": "session",
+    "DEFAULT_TRANSITION_CACHE_SIZE": "session",
+    "EngineSession": "session",
+    "SessionPool": "session",
+    "result_payload": "session",
+}
+
+
+def __getattr__(name: str) -> Any:
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(_EXPORTS))
+
 
 __all__ = [
     "CANCELLED",

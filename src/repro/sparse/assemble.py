@@ -5,10 +5,11 @@ The exact evaluators materialise the Prop 5.4 chain as a
 snapshots — fine for hundreds of states, hostile beyond that: every
 row is a dict of Fractions and every structural pass re-hashes whole
 databases.  :func:`assemble_sparse_chain` explores the same reachable
-chain breadth-first off the kernel's ``transition`` (the columnar
-:class:`~repro.kernel.CompiledKernel` or the frozenset
-:class:`~repro.core.interpretation.Interpretation` — both expose the
-same surface), but assigns each discovered state a dense integer id
+chain breadth-first off the kernel's ``expand`` (the columnar
+:class:`~repro.kernel.CompiledKernel` evaluates up to ``_BATCH``
+queued states in one array pass; the frozenset
+:class:`~repro.core.interpretation.Interpretation` loops over
+``transition``), but assigns each discovered state a dense integer id
 and accumulates ``(row, col, weight)`` triplets directly, so the only
 artefacts of the build are a ``scipy.sparse`` CSR matrix, the id→state
 table, and a boolean event mask.  Neither a dense matrix nor a
@@ -39,6 +40,9 @@ __all__ = ["SparseChain", "assemble_sparse_chain", "sparse_chain_from_markov"]
 
 #: How often (in expanded states) the assembler emits a trace event.
 _TRACE_STRIDE = 256
+
+#: Most queued states one ``kernel.expand`` call evaluates.
+_BATCH = 256
 
 
 @dataclass(frozen=True)
@@ -88,12 +92,14 @@ def assemble_sparse_chain(
     max_states: int = DEFAULT_MAX_STATES,
     context: "RunContext | None" = None,
 ) -> SparseChain:
-    """BFS the reachable chain into CSR form, one transition row at a time.
+    """BFS the reachable chain into CSR form, a batch of rows at a time.
 
     ``kernel`` is anything with the transition-kernel surface
-    (``check_schema`` + ``transition``): a frozenset
+    (``check_schema`` + ``expand``): a frozenset
     :class:`~repro.core.interpretation.Interpretation` or a compiled
-    columnar kernel.  Raises
+    columnar kernel.  Batches are taken from the front of the BFS queue
+    and their rows processed in queue order, so state ids, CSR entries
+    and trace events are those of a one-state-at-a-time BFS.  Raises
     :class:`~repro.errors.StateSpaceLimitExceeded` exactly like
     :func:`~repro.core.chain_builder.build_state_chain` when the
     frontier outgrows ``max_states``.
@@ -123,44 +129,49 @@ def assemble_sparse_chain(
     while queue:
         if context is not None:
             context.check()
-        source = queue.popleft()
-        row = kernel.transition(states[source])
-        for successor, weight in row.items():
-            target = index_of.get(successor)
-            if target is None:
-                if len(states) >= max_states:
-                    raise StateSpaceLimitExceeded(
-                        f"sparse chain assembly exceeds max_states="
-                        f"{max_states} ({len(states)} states discovered, "
-                        f"{expanded} expanded, frontier size "
-                        f"{len(queue) + 1}); raise the limit or let the "
-                        "ladder fall through to lumped/MCMC",
-                        details={
-                            "max_states": max_states,
-                            "states_discovered": len(states),
-                            "states_expanded": expanded,
-                            "frontier_size": len(queue) + 1,
-                        },
-                    )
-                target = len(states)
-                index_of[successor] = target
-                states.append(successor)
-                flags.append(bool(event(successor)) if event is not None else False)
-                queue.append(target)
-                if context is not None:
-                    context.tick_states()
-            rows.append(source)
-            cols.append(target)
-            data.append(float(weight))
-        expanded += 1
-        if tracer.enabled and (expanded % _TRACE_STRIDE == 0 or not queue):
-            tracer.event(
-                "sparse-state",
-                expanded=expanded,
-                discovered=len(states),
-                frontier=len(queue),
-                nnz=len(data),
-            )
+        sources = [queue.popleft() for _ in range(min(len(queue), _BATCH))]
+        expansion = kernel.expand([states[source] for source in sources])
+        for position, (source, row) in enumerate(zip(sources, expansion)):
+            # This batch's states not yet processed are still queued in
+            # a one-state-at-a-time BFS.
+            unprocessed = len(sources) - position - 1
+            for successor, weight in row.items():
+                target = index_of.get(successor)
+                if target is None:
+                    if len(states) >= max_states:
+                        raise StateSpaceLimitExceeded(
+                            f"sparse chain assembly exceeds max_states="
+                            f"{max_states} ({len(states)} states discovered, "
+                            f"{expanded} expanded, frontier size "
+                            f"{len(queue) + unprocessed + 1}); raise the limit "
+                            "or let the ladder fall through to lumped/MCMC",
+                            details={
+                                "max_states": max_states,
+                                "states_discovered": len(states),
+                                "states_expanded": expanded,
+                                "frontier_size": len(queue) + unprocessed + 1,
+                            },
+                        )
+                    target = len(states)
+                    index_of[successor] = target
+                    states.append(successor)
+                    flags.append(bool(event(successor)) if event is not None else False)
+                    queue.append(target)
+                    if context is not None:
+                        context.tick_states()
+                rows.append(source)
+                cols.append(target)
+                data.append(float(weight))
+            expanded += 1
+            frontier = len(queue) + unprocessed
+            if tracer.enabled and (expanded % _TRACE_STRIDE == 0 or not frontier):
+                tracer.event(
+                    "sparse-state",
+                    expanded=expanded,
+                    discovered=len(states),
+                    frontier=frontier,
+                    nnz=len(data),
+                )
     n = len(states)
     matrix = _sparse.csr_matrix(
         (np.asarray(data, dtype=np.float64),

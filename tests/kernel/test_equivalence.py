@@ -141,10 +141,20 @@ def test_parallel_workers_match_columnar():
 
 
 def test_enumerated_transition_matches_repair_distribution():
-    # The _enumerate path (exact chain build) and prob_eval recursion
-    # agree on a keyless weighted repair-key (footnote-1 merging).
+    # PageRank's keyless weighted repair-key merges rows (footnote 1).
+    # Walk its chain: every compiled row equals, in order and weight,
+    # the interpreter's, whose repair-key worlds come from
+    # repro.relational.repair.repair_distribution via prob_eval.
     query, db = CASES["pagerank"]()
     compiled = compile_query(query, db)
-    distribution_c = compiled.kernel.transition(compiled.initial)
-    total = sum(weight for _, weight in distribution_c.items())
-    assert total == Fraction(1)
+    states, seen = [compiled.initial], {compiled.initial}
+    for state in states:
+        row = list(compiled.kernel.transition(state).items())
+        expected = list(query.kernel.transition(extern_database(state)).items())
+        assert [(extern_database(s), w) for s, w in row] == expected
+        assert sum(weight for _, weight in row) == Fraction(1)
+        for successor, _ in row:
+            if successor not in seen:
+                seen.add(successor)
+                states.append(successor)
+    assert len(states) == 5

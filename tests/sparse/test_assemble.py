@@ -12,7 +12,8 @@ from repro.markov.chain import chain_from_edges
 from repro.obs import MemorySink, Tracer
 from repro.runtime import RunContext
 from repro.sparse import assemble_sparse_chain, sparse_chain_from_markov
-from repro.workloads import cycle_graph, random_walk_query
+from repro.kernel import lower
+from repro.workloads import cycle_graph, grid_graph, random_walk_query
 
 
 @pytest.fixture
@@ -67,6 +68,50 @@ class TestAssemble:
         )
         names = [r.get("name") for r in sink.records]
         assert "sparse-state" in names
+
+
+class TestBatchedAssembly:
+    """The compiled kernel expands queued states in batches; ids, limit
+    details and trace events must be those of the interpreter's
+    one-state-at-a-time BFS."""
+
+    @staticmethod
+    def _run(kernel, initial, event, max_states):
+        sink = MemorySink()
+        context = RunContext(tracer=Tracer(sink))
+        try:
+            chain = assemble_sparse_chain(
+                kernel, initial, event=event, max_states=max_states,
+                context=context,
+            )
+            outcome = chain.size
+        except StateSpaceLimitExceeded as exc:
+            outcome = exc.details
+        events = [
+            {k: r[k] for k in ("expanded", "discovered", "frontier", "nnz")}
+            for r in sink.records if r.get("name") == "sparse-state"
+        ]
+        return outcome, events
+
+    @pytest.mark.parametrize("max_states", [3, 40, 300, 1_000])
+    def test_limit_details_and_trace_events_match_interpreter(self, max_states):
+        # A 20x20 grid walk from a corner: batches grow with the BFS
+        # levels, the limit strikes inside a batch, and the 400-state
+        # run emits a trace event at state 256 and at the end.
+        query, db = random_walk_query(grid_graph(20, 20), "g0_0", "g3_3")
+        lowered_query, initial = lower(query, db)
+        source = self._run(query.kernel, db, query.event.holds, max_states)
+        batched = self._run(
+            lowered_query.kernel, initial, lowered_query.event.holds, max_states
+        )
+        assert batched == source
+        if max_states == 1_000:
+            assert source == (400, [
+                {"expanded": 256, "discovered": 273, "frontier": 17, "nnz": 1233},
+                {"expanded": 400, "discovered": 400, "frontier": 0, "nnz": 1920},
+            ])
+        else:
+            assert source[0]["max_states"] == max_states
 
 
 class TestFromMarkov:
