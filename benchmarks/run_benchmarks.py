@@ -2,7 +2,9 @@
 """The perf-trajectory harness: curated benchmarks + result checksums.
 
 Runs a small, stable subset of the repository's workloads — chain
-build, the Theorem 4.3 inflationary sampler, the Theorem 5.6 MCMC
+build (cold vs cache-warmed, and the interpreter vs the compiled kernel
+one state per call vs batched on the cold-exact walk shapes), the
+Theorem 4.3 inflationary sampler, the Theorem 5.6 MCMC
 sampler (sequential / ``workers=4`` / transition-cached), the columnar
 kernel vs the frozenset interpreter over the Thm 5.6 family (with
 per-operator timings), cross-process sampler determinism under varying
@@ -45,7 +47,9 @@ Correctness gates (always enforced; any failure exits nonzero):
 * loadgen QPS stays within 20% of the latest committed ``BENCH_*.json``
   baseline per backend (enforced only on a host with the same usable
   core count, and never under ``--quick``);
-* the cache-warmed chain rebuild produces the same chain;
+* the cache-warmed chain rebuild produces the same chain, and the
+  interpreter, the compiled kernel one state per call and the batched
+  compiled kernel build equal chains (externed states, Fraction rows);
 * tracing never perturbs sampler results, and the disabled (no-op)
   tracer costs < 2% versus the bare evaluator (the ``tracing_*``
   entries also record per-phase wall/CPU timings from a traced run).
@@ -171,6 +175,74 @@ def bench_chain_build(h: Harness) -> None:
     h.target("chain_rebuild_cache", cold_s / warm_s if warm_s else float("inf"),
              1.3, enforced=not h.quick,
              note="cache-warmed rebuild vs cold BFS")
+
+
+class _OneStatePerCall:
+    """A compiled kernel seen through ``transition`` alone: the chain
+    builder then expands one state per call, as it did before batching."""
+
+    def __init__(self, kernel):
+        self.kernel = kernel
+
+    def check_schema(self, state):
+        self.kernel.check_schema(state)
+
+    def expand(self, states):
+        return [self.kernel.transition(state) for state in states]
+
+
+def _chain_rows(chain, extern=lambda state: state):
+    """A chain as BFS-ordered (state, [(successor, weight)]) pairs."""
+    return [
+        (extern(state),
+         [(extern(successor), weight)
+          for successor, weight in chain.successors(state).items()])
+        for state in chain.states
+    ]
+
+
+def bench_chain(h: Harness) -> None:
+    """Prop 5.4 chain builds on the cold-exact walk shapes at their
+    largest sizes, three ways: the interpreter, the compiled kernel one
+    state per ``transition`` call, and the compiled kernel batched
+    (``expand``).  The three chains must be equal (states externed,
+    Fraction rows, BFS order)."""
+    from repro.kernel import extern_database, lower
+    from repro.workloads import pagerank_query
+
+    print("chain build (Prop 5.4 BFS) — interpreter vs compiled vs batched")
+    shapes = {
+        "pagerank_cycle24": pagerank_query(cycle_graph(24), Fraction(1, 5), "n0", "n7"),
+        "walk_complete16": random_walk_query(complete_graph(16), "n0", "n5"),
+        "walk_cycle63": random_walk_query(cycle_graph(63), "n0", "n31"),
+    }
+    for name, (query, db) in shapes.items():
+        lowered, initial = lower(query, db)
+        interpreter_s, reference = timed(
+            lambda: build_state_chain(query.kernel, db), h.rounds)
+        single_s, single = timed(lambda: build_state_chain(
+            _OneStatePerCall(lowered.kernel), initial), h.rounds)
+        batched_s, batched = timed(
+            lambda: build_state_chain(lowered.kernel, initial), h.rounds)
+        rows = _chain_rows(reference)
+        equal = (
+            _chain_rows(single, extern_database) == rows
+            and _chain_rows(batched, extern_database) == rows
+        )
+        index = {state: i for i, (state, _row) in enumerate(rows)}
+        n = reference.size
+        h.record(
+            f"chain_{name}", batched_s,
+            checksum([[(index[target], str(weight)) for target, weight in row]
+                      for _state, row in rows]),
+            states=n,
+            interpreter_us_per_state=round(interpreter_s / n * 1e6, 1),
+            single_us_per_state=round(single_s / n * 1e6, 1),
+            batched_us_per_state=round(batched_s / n * 1e6, 1),
+        )
+        h.check(f"chain_{name}_paths_equal", equal,
+                f"{n} states: interpreter == compiled one state per call == "
+                "compiled batched (externed states, Fraction rows, BFS order)")
 
 
 def bench_thm43(h: Harness) -> None:
@@ -922,6 +994,7 @@ def main(argv: list[str] | None = None) -> int:
     print(f"run_benchmarks: quick={args.quick} rounds={h.rounds} cores={cores}")
 
     bench_chain_build(h)
+    bench_chain(h)
     bench_thm43(h)
     bench_thm56(h, cores)
     bench_kernel(h)

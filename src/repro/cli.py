@@ -144,7 +144,7 @@ def _add_perf_arguments(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_backend_argument(
-    parser: argparse.ArgumentParser, sparse: bool = False
+    parser: argparse.ArgumentParser, default: str, sparse: bool = False
 ) -> None:
     choices = ("frozenset", "columnar", "sparse") if sparse else (
         "frozenset", "columnar"
@@ -160,10 +160,12 @@ def _add_backend_argument(
         "--backend",
         choices=choices,
         default=None,
-        help="execution backend: 'columnar' compiles the program to the "
-        "vectorized integer-ID array kernel (results are bit-identical; "
-        "kernel-ineligible programs fall back to 'frozenset' with a "
-        "recorded reason — see 'repro lint' hint PH005)" + extra,
+        help=f"execution backend (default: {default}): 'columnar' runs the "
+        "program compiled to the vectorized integer-ID array kernel, "
+        "'frozenset' on the interpreter (answers and seeded draws are "
+        "identical; a program the kernel cannot express stays on "
+        "'frozenset' with a recorded reason — see 'repro lint' hint "
+        "PH005)" + extra,
     )
 
 
@@ -269,7 +271,7 @@ def _command_chain(args: argparse.Namespace, context: RunContext) -> dict:
             kernel = parse_interpretation(handle.read())
         db = load_database(args.db)
     columnar = False
-    if args.backend == "columnar":
+    if args.backend != "frozenset":
         from repro.kernel import lower_kernel
 
         compiled, db = lower_kernel(kernel, db, context)
@@ -798,7 +800,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     _add_sampling_arguments(forever)
     _add_budget_arguments(forever)
     _add_perf_arguments(forever)
-    _add_backend_argument(forever, sparse=True)
+    _add_backend_argument(forever, "columnar", sparse=True)
     _add_trace_argument(forever)
     forever.set_defaults(handler=_command_evaluate)
 
@@ -813,7 +815,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     _add_sampling_arguments(inflationary)
     _add_budget_arguments(inflationary)
     _add_perf_arguments(inflationary)
-    _add_backend_argument(inflationary)
+    _add_backend_argument(inflationary, "frozenset")
     _add_trace_argument(inflationary)
     inflationary.set_defaults(handler=_command_evaluate)
 
@@ -824,7 +826,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     chain.add_argument("--db", required=True)
     chain.add_argument("--max-states", type=int, default=20_000)
     _add_budget_arguments(chain)
-    _add_backend_argument(chain)
+    _add_backend_argument(chain, "columnar")
     _add_trace_argument(chain)
     chain.set_defaults(handler=_command_chain)
 
@@ -1070,7 +1072,8 @@ def build_arg_parser() -> argparse.ArgumentParser:
         "--backend",
         choices=("frozenset", "columnar"),
         default=None,
-        help="evaluation backend for every generated request",
+        help="evaluation backend for every generated request (default: "
+        "the session's, which runs these forever-queries compiled)",
     )
     loadgen.set_defaults(handler=_command_loadgen)
 
@@ -1112,6 +1115,19 @@ def build_arg_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER: argparse.ArgumentParser | None = None
+
+
+def _parser() -> argparse.ArgumentParser:
+    """The process's parser for :func:`main`, built on first use:
+    building the tree costs more than many evaluations, and parsing
+    leaves it unchanged."""
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = build_arg_parser()
+    return _PARSER
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     """CLI entry point.
 
@@ -1120,8 +1136,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     130 when interrupted with Ctrl-C (the samplers flush a checkpoint
     first when ``--checkpoint`` is configured).
     """
-    parser = build_arg_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     context = None
     payload = None
     try:

@@ -160,8 +160,9 @@ class ColumnarRelation:
         return ColumnarRelation, (self.columns, self.data, True)
 
     def memo(self) -> dict:
-        """Join indexes derived from the rows, kept with the immutable
-        relation and keyed by join columns; never pickled."""
+        """Indexes derived from the rows, kept with the immutable
+        relation (join indexes keyed by join columns, the row set by
+        ``"rows"``); never pickled."""
         if self._memo is None:
             self._memo = {}
         return self._memo
@@ -177,11 +178,16 @@ class ColumnarRelation:
         if len(self) > len(other):
             return False
         theirs = other.row_set()
-        return all(row.tobytes() in theirs for row in self.data)
+        return all(row in theirs for row in map(tuple, self.data.tolist()))
 
-    def row_set(self) -> set[bytes]:
-        """The rows as a set of raw byte keys (subset checks)."""
-        return {row.tobytes() for row in self.data}
+    def row_set(self) -> frozenset[tuple[int, ...]]:
+        """The rows as a set of ID tuples (membership and subset checks),
+        memoised on the relation."""
+        memo = self.memo()
+        rows = memo.get("rows")
+        if rows is None:
+            rows = memo["rows"] = frozenset(map(tuple, self.data.tolist()))
+        return rows
 
 
 class ColumnarDatabase:
@@ -265,8 +271,7 @@ class ColumnarDatabase:
                 continue
             if len(rel) > len(mine):
                 return False
-            mine_rows = mine.row_set()
-            if any(row.tobytes() not in mine_rows for row in rel.data):
+            if not rel.issubset(mine):
                 return False
         return True
 

@@ -837,26 +837,24 @@ class _CTupleIn(CompiledEvent):
         self.relation = relation
         self.values = values
         self.table = table
-        self.row: np.ndarray | None = None
+        self.row: tuple[int, ...] | None = None
 
-    def _resolve(self) -> np.ndarray | None:
+    def _resolve(self) -> tuple[int, ...] | None:
         # Lazy: a value may only become interned by a dynamic intern
         # (footnote-1 weight sum) after compile time.  The table is
         # append-only, so a resolved row stays valid.
         if self.row is None:
             ids = [self.table.id_of(value) for value in self.values]
-            if not any(i is None for i in ids):
-                self.row = np.asarray(ids, dtype=np.int64)
+            if None not in ids:
+                self.row = tuple(ids)
         return self.row
 
     def holds(self, db):
         row = self._resolve()
-        if self.relation not in db or row is None:
+        if row is None or self.relation not in db:
             return False
-        data = db[self.relation].data
-        if data.shape[0] == 0 or data.shape[1] != row.shape[0]:
-            return False
-        return bool((data == row).all(axis=1).any())
+        # A row of another arity is in no row set.
+        return row in db[self.relation].row_set()
 
 
 class _CNonEmpty(CompiledEvent):

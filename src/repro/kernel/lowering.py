@@ -6,16 +6,19 @@ query event) and its start database to a :class:`CompiledKernel`, a
 :class:`CompiledEvent` and an interned :class:`ColumnarDatabase`; every
 evaluator then runs the lowered pair as given, with answers and seeded
 draws identical to the interpreter's.  Callers lower where a request
-is read: the service session (``backend: columnar``), ``repro chain
---backend columnar``, the sparse rung (which runs compiled whenever the
-program lowers) and library callers that want the speed.
+is read: the service session (once per session, for every forever
+request not asking for ``backend: frozenset`` and for ``backend:
+columnar`` inflationary ones), ``repro chain`` (unless ``--backend
+frozenset``), the sparse rung (which runs compiled whenever the program
+lowers) and library callers that want the speed.
 
 A program the kernel cannot express — attached pc-tables, opaque
 :class:`~repro.relational.predicates.RowPredicate` selections, foreign
 event types; the static analyzer flags these as ``PH005`` — stays on
-the interpreter: lowering records why, once, on the run context and in
-the process-wide counter the service exports as
-``repro_kernel_fallback_total``, and returns its inputs.
+the interpreter: each lowering attempt records why on the run context
+and in the process-wide counter the service exports as
+``repro_kernel_fallback_total``, and returns its inputs (a session
+makes one attempt).
 
 A lowered query is an ordinary query everywhere else: its kernel and
 event pickle (they recompile against their symbol table on load), and

@@ -41,7 +41,7 @@ import threading
 from bisect import bisect_right
 from collections import OrderedDict
 from itertools import accumulate
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -239,8 +239,8 @@ class TransitionCache:
     """
 
     __slots__ = (
-        "kernel", "maxsize", "_rows", "_view", "_lock", "hits", "misses",
-        "evictions",
+        "kernel", "maxsize", "_rows", "_view", "_lock", "_ready", "hits",
+        "misses", "evictions",
     )
 
     def __init__(self, kernel: Interpretation, maxsize: int = DEFAULT_CACHE_SIZE):
@@ -251,6 +251,8 @@ class TransitionCache:
         self._rows: OrderedDict[Database, CachedRow] = OrderedDict()
         self._view: RowView | None = None
         self._lock = threading.Lock()
+        # Per thread: rows an ``expand`` call computed for its batch.
+        self._ready = threading.local()
         self.hits = 0
         self.misses = 0
         self.evictions = 0
@@ -268,7 +270,10 @@ class TransitionCache:
                 self._rows.move_to_end(state)
                 return row
             self.misses += 1
-        row = CachedRow(self.kernel.transition(state))
+        ready = getattr(self._ready, "rows", None)
+        row = ready.get(state) if ready is not None else None
+        if row is None:
+            row = CachedRow(self.kernel.transition(state))
         with self._lock:
             existing = self._rows.get(state)
             if existing is not None:
@@ -284,6 +289,28 @@ class TransitionCache:
     def transition(self, state: Database) -> Distribution[Database]:
         """Memoized ``kernel.transition(state)``."""
         return self.row(state).distribution
+
+    def expand(self, states: Sequence[Database]) -> list[Distribution[Database]]:
+        """Memoized ``kernel.expand(states)``.
+
+        Every state is looked up through :meth:`row`, so hits, misses
+        and evictions count as ``len(states)`` calls of
+        :meth:`transition` would count them; the rows missing when the
+        call begins are computed with one ``kernel.expand``.  A row
+        evicted by the batch's own insertions before its lookup comes
+        back as a miss without being computed again.
+        """
+        with self._lock:
+            known = {state: self._rows.get(state) for state in states}
+        missing = [state for state, row in known.items() if row is None]
+        if missing:
+            for state, row in zip(missing, self.kernel.expand(missing)):
+                known[state] = CachedRow(row)
+        self._ready.rows = known
+        try:
+            return [self.row(state).distribution for state in states]
+        finally:
+            self._ready.rows = None
 
     def sample(self, state: Database, rng: random.Random) -> Database:
         """Draw one successor of ``state`` from the memoized exact row."""

@@ -150,18 +150,25 @@ _HEARTBEAT: Any = None
 _PERSISTENT = False
 
 #: Warm caches surviving across tasks in a persistent worker, keyed by
-#: ``(pickle of the kernel, maxsize)``.  Kernels arrive freshly
-#: unpickled with every task, so on reuse the cache is re-bound to the
-#: new — equal — kernel object.  The pickle is the kernel's whole
-#: program (its ``repr`` names only the relations it rewrites, which
-#: two programs can share).  Compiled kernels get none: their states
-#: are ids into one task's copy of the symbol table.
+#: ``(pickle of the kernel, maxsize)``.  The pickle is the kernel's whole
+#: program (its ``repr`` names only the relations it rewrites, which two
+#: programs can share) and, for a compiled kernel, its symbol table.
 _WARM_CACHES: dict[tuple[bytes, int], Any] = {}
 
 
-def _warm_cache(kernel: Any, cache_size: int | None) -> Any:
-    """The persistent worker's warm cache for ``kernel``, or ``None``
-    (the sampler then builds a private one from ``cache_size``).
+def _warm_cache(query: Any, initial: Any, cache_size: int | None, memo: Any) -> tuple:
+    """``(query, initial, cache)`` for one task in a persistent worker:
+    the worker's warm cache of ``memo`` (the kernel whose rows the
+    sampler memoizes), or ``None`` when there is none (the sampler then
+    builds a private one from ``cache_size``).
+
+    Kernels arrive freshly unpickled with every task.  A compiled task
+    is moved onto the cached kernel object: its states are ids into
+    that kernel's symbol table, which may hold symbols an earlier task
+    interned dynamically, so the task's start state is re-interned and
+    its event recompiled there, and no id is read under another table.
+    An interpreter's states are plain databases, so its cache is simply
+    re-bound to the task's (equal) kernel.
 
     The ``worker.cache`` fault site models cache corruption: a fired
     ``corrupt`` action discards the warm entries (the detected-and-
@@ -170,22 +177,27 @@ def _warm_cache(kernel: Any, cache_size: int | None) -> Any:
     whether it hits or misses, so the RNG stream is hit/miss-invariant.
     """
     from repro import faults
-    from repro.kernel import CompiledKernel
+    from repro.kernel import CompiledKernel, compile_event
+    from repro.kernel.lowering import source_database, state_of
     from repro.perf.cache import TransitionCache
 
-    if not _PERSISTENT or cache_size is None or isinstance(kernel, CompiledKernel):
-        return None
+    if not _PERSISTENT or cache_size is None:
+        return query, initial, None
 
-    key = (pickle.dumps(kernel), cache_size)
+    key = (pickle.dumps(memo), cache_size)
     cache = _WARM_CACHES.get(key)
     if cache is None:
-        cache = _WARM_CACHES[key] = TransitionCache(kernel, maxsize=cache_size)
+        cache = _WARM_CACHES[key] = TransitionCache(memo, maxsize=cache_size)
+    elif isinstance(memo, CompiledKernel):
+        kernel = cache.kernel
+        query = query.__class__(kernel, compile_event(query.event.source, kernel))
+        initial = state_of(kernel, source_database(initial))
     else:
-        cache.kernel = kernel
+        cache.kernel = memo
     spec = faults.maybe_fire(faults.SITE_WORKER_CACHE)
     if spec is not None and spec.action == "corrupt":
         cache.clear()
-    return cache
+    return query, initial, cache
 
 
 class WorkerContext(RunContext):
@@ -233,11 +245,13 @@ def _run_mcmc_trials(task: dict) -> dict:
     from repro.core.evaluation.sampling_noninflationary import evaluate_forever_mcmc
 
     context = WorkerContext(task["budget"], tracer=worker_tracer(task))
-    cache = _warm_cache(task["query"].kernel, task["cache_size"])
+    query, initial, cache = _warm_cache(
+        task["query"], task["initial"], task["cache_size"], task["query"].kernel
+    )
     before = cache.stats() if cache is not None else None
     result = evaluate_forever_mcmc(
-        task["query"],
-        task["initial"],
+        query,
+        initial,
         samples=task["samples"],
         burn_in=task["burn_in"],
         rng=task["seed"],
@@ -261,12 +275,14 @@ def _run_inflationary_trials(task: dict) -> dict:
 
     context = WorkerContext(task["budget"], tracer=worker_tracer(task))
     # The fixpoint check enumerates the pc-free kernel: memoize that one.
-    kernel = task["query"].kernel.without_pc_tables()
-    cache = _warm_cache(kernel, task["cache_size"])
+    query, initial, cache = _warm_cache(
+        task["query"], task["initial"], task["cache_size"],
+        task["query"].kernel.without_pc_tables(),
+    )
     before = cache.stats() if cache is not None else None
     result = evaluate_inflationary_sampling(
-        task["query"],
-        task["initial"],
+        query,
+        initial,
         samples=task["samples"],
         rng=task["seed"],
         max_steps=task["max_steps"],

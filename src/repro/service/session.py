@@ -3,14 +3,21 @@
 A one-shot CLI run pays the full bill on every invocation: parse the
 program, decode the database, build the chain or walk it cold.  An
 :class:`EngineSession` is the long-lived alternative — the parsed
-kernel (or datalog program), the decoded initial :class:`Database`, one
-warm :class:`~repro.perf.cache.TransitionCache` and the exact rung's
-solutions (a :class:`~repro.core.evaluation.results.SolutionStore`)
-live as long as the session does, so repeated queries against the same
-program (different events, seeds, ε/δ, modes) skip everything but the
-actual evaluation: samplers draw memoized transition rows, and an exact
-event is read off the long-run or fixpoint distribution the session
-solved for its first exact request.
+kernel (or datalog program), the decoded initial :class:`Database`, the
+compiled kernel a forever program is lowered to (once, on first use),
+one warm :class:`~repro.perf.cache.TransitionCache` per kernel and the
+exact rung's solutions (a
+:class:`~repro.core.evaluation.results.SolutionStore`) live as long as
+the session does, so repeated queries against the same program
+(different events, seeds, ε/δ, modes) skip everything but the actual
+evaluation: samplers draw memoized transition rows, and an exact event
+is read off the long-run or fixpoint distribution the session solved
+for its first exact request.
+
+Forever-queries run on the compiled kernel unless a request asks for
+``backend: frozenset``; inflationary-queries run on the interpreter
+unless a request asks for ``backend: columnar``.  A program the kernel
+cannot express is tried once per session and keeps the interpreter.
 
 :meth:`EngineSession.evaluate` is also the one place that turns a
 :class:`~repro.service.request.QueryRequest` into an evaluator call and
@@ -251,19 +258,12 @@ class EngineSession:
         self._served_lock = threading.Lock()
         # None or 0: no transition cache, on either kernel.
         self._cache_size = cache_size
-        # (CompiledKernel, ColumnarDatabase, TransitionCache or None):
-        # the kernel a ``backend: columnar`` request lowers onto,
-        # compiled on first use and shared by every such request.
-        self._columnar: "tuple | None" = None
-        self._columnar_lock = threading.Lock()
-        self._cache: TransitionCache | None = None
-        if kernel is not None and cache_size:
-            memo_kernel = kernel
-            if semantics == "inflationary":
-                # The inflationary fixpoint check enumerates the pc-free
-                # kernel; memoize that one (see evaluate_inflationary_sampling).
-                memo_kernel = kernel.without_pc_tables()
-            self._cache = TransitionCache(memo_kernel, maxsize=cache_size)
+        # Per backend ("frozenset", "columnar"): the (kernel, start
+        # state, TransitionCache or None) its requests run on, made on
+        # first use.  A program that cannot lower is tried once: its
+        # "columnar" entry is the interpreter's.
+        self._kernels: dict[str, tuple] = {}
+        self._kernels_lock = threading.RLock()
         # The default exact rung's solution, one per kernel (frozenset,
         # compiled or datalog program), kept while its support fits in
         # cache_size states.
@@ -329,11 +329,25 @@ class EngineSession:
 
     # -- introspection --------------------------------------------------
 
+    def _backend(self, requested: str | None = None) -> str | None:
+        """The kernel a request runs on: the interpreter when it asks
+        for ``frozenset``, else the compiled kernel for forever-queries
+        and for ``columnar`` inflationary ones (``None`` for datalog)."""
+        if self.semantics == "datalog":
+            return None
+        if requested == "frozenset":
+            return requested
+        if self.semantics == "forever" or requested == "columnar":
+            return "columnar"
+        return "frozenset"
+
     @property
     def cache(self) -> TransitionCache | None:
-        """The session's warm transition cache (``None`` for datalog and
-        for a session built without one)."""
-        return self._cache
+        """The warm transition cache of the kernel a request without a
+        ``backend`` param runs on (``None`` for datalog and for a
+        session built without one)."""
+        backend = self._backend()
+        return None if backend is None else self._kernel(backend)[2]
 
     @property
     def solutions(self) -> SolutionStore | None:
@@ -400,47 +414,61 @@ class EngineSession:
             raise _rejection(report)
         return report
 
-    def _lower(self, query, context: RunContext):
-        """``query`` lowered for a ``backend: columnar`` request:
-        ``(query, initial, cache)``, the cache being the one that
-        matches the kernel the query holds.
+    def _kernel(self, backend: str, context: RunContext | None = None) -> tuple:
+        """``(kernel, initial, cache)`` for ``backend``, made on first use.
 
-        The kernel compiles once per session and each request's event
-        on its own; a program that cannot lower stays on the
-        interpreter, with one recorded fallback per request.
+        ``"columnar"`` lowers the program once per session
+        (:func:`repro.kernel.lower_kernel`); a program that cannot lower
+        records one fallback and shares the interpreter's entry (taken
+        under the same, reentrant, lock).
         """
-        from repro.kernel.lowering import lower, lower_kernel
+        with self._kernels_lock:
+            entry = self._kernels.get(backend)
+            if entry is not None:
+                return entry
+            kernel, initial = self.kernel, self.database
+            memo = kernel
+            if backend == "columnar":
+                from repro.kernel.lowering import lower_kernel
 
-        with self._columnar_lock:
-            if self._columnar is None:
-                compiled, initial = lower_kernel(self.kernel, self.database, context)
-                if compiled is self.kernel:
-                    return query, self.database, self._cache
-                cache = (
-                    TransitionCache(compiled, maxsize=self._cache_size)
-                    if self._cache_size
-                    else None
-                )
-                self._columnar = (compiled, initial, cache)
-        compiled, initial, cache = self._columnar
-        query, initial = lower(query.__class__(compiled, query.event), initial, context)
-        return query, initial, cache if query.kernel is compiled else self._cache
+                kernel, initial = lower_kernel(kernel, initial, context)
+                if kernel is self.kernel:
+                    entry = self._kernels[backend] = self._kernel("frozenset")
+                    return entry
+                memo = kernel
+            elif self.semantics == "inflationary":
+                # The inflationary fixpoint check enumerates the pc-free
+                # kernel; memoize that one (see evaluate_inflationary_sampling).
+                memo = kernel.without_pc_tables()
+            cache = (
+                TransitionCache(memo, maxsize=self._cache_size)
+                if self._cache_size
+                else None
+            )
+            entry = self._kernels[backend] = (kernel, initial, cache)
+            return entry
 
     def stats(self) -> dict:
         """JSON-friendly session snapshot for the metrics endpoint."""
-        columnar = self._columnar
-        if columnar is not None:
+        with self._kernels_lock:
+            kernels = dict(self._kernels)
+        columnar = kernels.get("columnar")
+        if columnar is not None and columnar is not kernels.get("frozenset"):
             cache = columnar[2]
             columnar = {
                 "compiled": True,
                 "transition_cache": cache.stats() if cache else None,
             }
+        else:
+            columnar = None
+        default = kernels.get(self._backend())
+        cache = default[2] if default is not None else None
         return {
             "key": self.key,
             "semantics": self.semantics,
             "created_at": self.created_at,
             "requests_served": self.requests_served,
-            "transition_cache": self._cache.stats() if self._cache else None,
+            "transition_cache": cache.stats() if cache else None,
             "plan_hints": self.hints.as_dict(),
             "columnar": columnar,
         }
@@ -541,13 +569,16 @@ class EngineSession:
         params = request.params
         forever = self.semantics == "forever"
         query_cls = ForeverQuery if forever else InflationaryQuery
-        query = query_cls(self.kernel, parse_event(request.event))
-        initial, cache = self.database, self._cache
         backend = params.get("backend")
-        if backend == "columnar":
-            # Lowered once, here: every rung below runs the kernel the
-            # query holds, with the cache that matches it.
-            query, initial, cache = self._lower(query, context)
+        # Lowered once per session, here: every rung below runs the
+        # kernel the query holds, with the cache that matches it.
+        kernel, initial, cache = self._kernel(self._backend(backend), context)
+        query = query_cls(kernel, parse_event(request.event))
+        if kernel is not self.kernel:
+            from repro.kernel.lowering import lower
+
+            # Compiles the event only: every event parse_event makes lowers.
+            query, initial = lower(query, initial, context)
         max_states = _param(params, "max_states", 20_000 if forever else 100_000)
         workers = _param(params, "workers", 1)
         if params.get("partition") == "auto":

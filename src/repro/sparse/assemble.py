@@ -5,9 +5,10 @@ The exact evaluators materialise the Prop 5.4 chain as a
 snapshots — fine for hundreds of states, hostile beyond that: every
 row is a dict of Fractions and every structural pass re-hashes whole
 databases.  :func:`assemble_sparse_chain` explores the same reachable
-chain breadth-first off the kernel's ``expand`` (the columnar
-:class:`~repro.kernel.CompiledKernel` evaluates up to ``_BATCH``
-queued states in one array pass; the frozenset
+chain breadth-first with the chain builder's
+:class:`~repro.core.chain_builder.Frontier` (the columnar
+:class:`~repro.kernel.CompiledKernel` evaluates up to ``BATCH`` queued
+states in one array pass; the frozenset
 :class:`~repro.core.interpretation.Interpretation` loops over
 ``transition``), but assigns each discovered state a dense integer id
 and accumulates ``(row, col, weight)`` triplets directly, so the only
@@ -15,20 +16,20 @@ artefacts of the build are a ``scipy.sparse`` CSR matrix, the id→state
 table, and a boolean event mask.  Neither a dense matrix nor a
 :class:`MarkovChain` is ever materialised.
 
-The event predicate is evaluated once per state *during* the sweep —
-the solve phase afterwards only sees integer ids and float64 arrays.
+The event predicate is evaluated once per discovered state, right
+after the sweep — the solve phase only sees integer ids and float64
+arrays.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Hashable, Sequence
 
 import numpy as np
 from scipy import sparse as _sparse
 
-from repro.core.chain_builder import DEFAULT_MAX_STATES
+from repro.core.chain_builder import DEFAULT_MAX_STATES, Frontier
 from repro.errors import StateSpaceLimitExceeded
 from repro.obs.trace import tracer_of
 
@@ -40,9 +41,6 @@ __all__ = ["SparseChain", "assemble_sparse_chain", "sparse_chain_from_markov"]
 
 #: How often (in expanded states) the assembler emits a trace event.
 _TRACE_STRIDE = 256
-
-#: Most queued states one ``kernel.expand`` call evaluates.
-_BATCH = 256
 
 
 @dataclass(frozen=True)
@@ -97,10 +95,10 @@ def assemble_sparse_chain(
     ``kernel`` is anything with the transition-kernel surface
     (``check_schema`` + ``expand``): a frozenset
     :class:`~repro.core.interpretation.Interpretation` or a compiled
-    columnar kernel.  Batches are taken from the front of the BFS queue
-    and their rows processed in queue order, so state ids, CSR entries
-    and trace events are those of a one-state-at-a-time BFS.  Raises
-    :class:`~repro.errors.StateSpaceLimitExceeded` exactly like
+    columnar kernel.  The exploration is the chain builder's
+    :class:`~repro.core.chain_builder.Frontier`, so state ids, CSR
+    entries and trace events are those of a one-state-at-a-time BFS.
+    Raises :class:`~repro.errors.StateSpaceLimitExceeded` exactly like
     :func:`~repro.core.chain_builder.build_state_chain` when the
     frontier outgrows ``max_states``.
 
@@ -116,73 +114,61 @@ def assemble_sparse_chain(
     """
     kernel.check_schema(initial)
     tracer = tracer_of(context)
-    index_of: dict[Hashable, int] = {initial: 0}
-    states: list[Hashable] = [initial]
-    flags: list[bool] = [bool(event(initial))] if event is not None else [False]
+    frontier = Frontier(initial, max_states, context, _overflow)
+    discover = frontier.discover
     rows: list[int] = []
     cols: list[int] = []
     data: list[float] = []
-    queue: deque[int] = deque([0])
-    expanded = 0
-    if context is not None:
-        context.tick_states()
-    while queue:
-        if context is not None:
-            context.check()
-        sources = [queue.popleft() for _ in range(min(len(queue), _BATCH))]
-        expansion = kernel.expand([states[source] for source in sources])
-        for position, (source, row) in enumerate(zip(sources, expansion)):
-            # This batch's states not yet processed are still queued in
-            # a one-state-at-a-time BFS.
-            unprocessed = len(sources) - position - 1
-            for successor, weight in row.items():
-                target = index_of.get(successor)
-                if target is None:
-                    if len(states) >= max_states:
-                        raise StateSpaceLimitExceeded(
-                            f"sparse chain assembly exceeds max_states="
-                            f"{max_states} ({len(states)} states discovered, "
-                            f"{expanded} expanded, frontier size "
-                            f"{len(queue) + unprocessed + 1}); raise the limit "
-                            "or let the ladder fall through to lumped/MCMC",
-                            details={
-                                "max_states": max_states,
-                                "states_discovered": len(states),
-                                "states_expanded": expanded,
-                                "frontier_size": len(queue) + unprocessed + 1,
-                            },
-                        )
-                    target = len(states)
-                    index_of[successor] = target
-                    states.append(successor)
-                    flags.append(bool(event(successor)) if event is not None else False)
-                    queue.append(target)
-                    if context is not None:
-                        context.tick_states()
-                rows.append(source)
-                cols.append(target)
-                data.append(float(weight))
-            expanded += 1
-            frontier = len(queue) + unprocessed
-            if tracer.enabled and (expanded % _TRACE_STRIDE == 0 or not frontier):
-                tracer.event(
-                    "sparse-state",
-                    expanded=expanded,
-                    discovered=len(states),
-                    frontier=frontier,
-                    nnz=len(data),
-                )
+    for source, row in frontier.rows(kernel.expand):
+        for successor, weight in row.items():
+            rows.append(source)
+            cols.append(discover(successor))
+            data.append(float(weight))
+        expanded, waiting = frontier.expanded, frontier.waiting
+        if tracer.enabled and (expanded % _TRACE_STRIDE == 0 or not waiting):
+            tracer.event(
+                "sparse-state",
+                expanded=expanded,
+                discovered=len(frontier.states),
+                frontier=waiting,
+                nnz=len(data),
+            )
+    states = frontier.states
     n = len(states)
     matrix = _sparse.csr_matrix(
         (np.asarray(data, dtype=np.float64),
          (np.asarray(rows, dtype=np.int64), np.asarray(cols, dtype=np.int64))),
         shape=(n, n),
     )
+    flags = (
+        np.fromiter((bool(event(state)) for state in states), dtype=bool, count=n)
+        if event is not None
+        else np.zeros(n, dtype=bool)
+    )
     return SparseChain(
         matrix=matrix,
         states=states,
-        event_mask=np.asarray(flags, dtype=bool),
+        event_mask=flags,
         initial_index=0,
+    )
+
+
+def _overflow(frontier: Frontier) -> StateSpaceLimitExceeded:
+    # Unlike the chain builder, the state being expanded is not counted
+    # as expanded yet.
+    discovered, expanded = len(frontier.states), frontier.expanded - 1
+    pending = frontier.waiting + 1
+    return StateSpaceLimitExceeded(
+        f"sparse chain assembly exceeds max_states={frontier.max_states} "
+        f"({discovered} states discovered, {expanded} expanded, frontier "
+        f"size {pending}); raise the limit or let the ladder fall through "
+        "to lumped/MCMC",
+        details={
+            "max_states": frontier.max_states,
+            "states_discovered": discovered,
+            "states_expanded": expanded,
+            "frontier_size": pending,
+        },
     )
 
 

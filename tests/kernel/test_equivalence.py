@@ -69,6 +69,72 @@ def test_transition_distribution_identical(name):
     assert exact_c == exact_f  # Fraction-exact, not approximate
 
 
+def _footnote_weights():
+    """M keeps the chosen weight: footnote 1 sums the duplicate edges
+    a->b to 10/21, a value the compiled kernel interns only when a
+    transition first merges them."""
+    from repro.core import Interpretation
+    from repro.relational import Database, Relation, join, project, rel, rename, repair_key
+
+    step = rename(project(repair_key(join(rel("C"), rel("E")), ("I",), "P"), "J"), J="I")
+    kept = rename(project(repair_key(join(rel("C"), rel("E")), ("I",), "P"), "P"), P="V")
+    edges = Relation(("I", "J", "P"), [
+        ("a", "b", Fraction(1, 3)), ("a", "b", Fraction(1, 7)),
+        ("a", "c", Fraction(1, 2)), ("b", "a", 1), ("c", "a", 1),
+    ])
+    db = Database({
+        "C": Relation(("I",), [("a",)]), "M": Relation(("V",), []), "E": edges,
+    })
+    return Interpretation({"C": step, "M": kept}), db
+
+
+@pytest.mark.parametrize("name", sorted(CASES) + ["footnote-weights"])
+def test_tuple_events_identical_on_every_state(name):
+    """The compiled ``TupleIn`` event agrees with the interpreter's on
+    every reachable state: rows that occur, a value never interned, a
+    value interned only after the event was compiled, an arity mismatch
+    and a relation the database lacks."""
+    from repro.core import TupleIn, build_state_chain
+    from repro.kernel import compile_event, compile_kernel
+
+    if name == "footnote-weights":
+        kernel, db = _footnote_weights()
+    else:
+        query, db = CASES[name]()
+        kernel = query.kernel
+    compiled, initial = compile_kernel(kernel, db)
+    chain = build_state_chain(kernel, db)
+    rows = {
+        (relation, row) for state in chain.states
+        for relation in state for row in state[relation].rows
+    }
+    events = [TupleIn(relation, row) for relation, row in sorted(rows, key=repr)]
+    events += [
+        TupleIn("C", ("not-a-node",)),
+        TupleIn("M", (Fraction(10, 21),)),
+        TupleIn("M", (Fraction(99, 101),)),
+        TupleIn("C", ()),
+        TupleIn("C", tuple(sorted(db.active_domain(), key=repr))[:2]),
+        TupleIn("Nowhere", ("a",)),
+    ]
+    # Compiled before any transition: values interned later resolve lazily.
+    lowered = [(event, compile_event(event, compiled)) for event in events]
+    compiled_chain = build_state_chain(compiled, initial)
+    assert [extern_database(state) for state in compiled_chain.states] == list(
+        chain.states
+    )
+    held = 0
+    for state, source in zip(compiled_chain.states, chain.states):
+        for event, compiled_event in lowered:
+            assert compiled_event.holds(state) == event.holds(source), (event, source)
+            held += event.holds(source)
+    assert held
+    if name == "footnote-weights":
+        assert any(
+            TupleIn("M", (Fraction(10, 21),)).holds(state) for state in chain.states
+        )
+
+
 @pytest.mark.parametrize("name", sorted(CASES), ids=sorted(CASES))
 def test_sampled_trajectories_and_rng_stream_identical(name):
     query, db = CASES[name]()

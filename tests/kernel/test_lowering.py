@@ -370,3 +370,223 @@ class TestBoundaries:
             InflationaryQuery(query.kernel, parse_event("C(sink)")), db
         )
         assert payload["probability"] == str(expected.probability)
+
+
+# -- a session lowers forever-queries by default -----------------------------
+
+WALK = "C := rename[J->I](project[J](repair-key[I@P](C join E)))"
+
+#: Footnote 1: the duplicate edges a->b and b->a merge into the weights
+#: 10/21 and 14/45, which M keeps; neither is in the start database, so
+#: the compiled kernel interns them while it runs.
+FOOTNOTE = WALK + "\nM := rename[P->V](project[P](repair-key[I@P](C join E)))"
+FOOTNOTE_DATABASE = {"relations": {
+    "C": {"columns": ["I"], "rows": [["x"]]},
+    "M": {"columns": ["V"], "rows": []},
+    "E": {"columns": ["I", "J", "P"], "rows": [
+        ["x", "a", 1], ["x", "b", 1],
+        ["a", "b", "1/3"], ["a", "b", "1/7"], ["a", "x", "1/2"],
+        ["b", "a", "1/5"], ["b", "a", "1/9"], ["b", "x", "1/2"],
+    ]},
+}}
+
+
+def _session_request(program, database, event, **params):
+    return QueryRequest.from_json({
+        "semantics": "forever", "program": program, "database": database,
+        "event": event, "params": params,
+    })
+
+
+def _examples(name):
+    return (
+        (EXAMPLES / f"{name}.ra").read_text(),
+        json.loads((EXAMPLES / f"{name}.db.json").read_text()),
+    )
+
+
+def _default_and_interpreted(program, database, event, prepare=True, **params):
+    """The payload of a request without a ``backend`` param and of the
+    same request with ``backend: frozenset``, each on a fresh session."""
+    payloads = []
+    for backend in (None, "frozenset"):
+        request = _session_request(
+            program, database, event,
+            **params, **({"backend": backend} if backend else {}),
+        )
+        build = EngineSession.prepare if prepare else EngineSession.from_request
+        payloads.append(build(request).evaluate(request))
+    return payloads
+
+
+#: Forever rungs a request can reach: name -> (example, event, params).
+SESSION_RUNGS = {
+    "exact": ("random_walk", "C(b)", {}),
+    "exact-two-walkers": ("two_walkers", "C(b) and D(a)", {}),
+    "lumped": ("random_walk", "C(b)", {"lumped": True}),
+    "partition": ("two_walkers", "C(b) and D(a)", {"partition": "auto"}),
+    "ladder-sparse": ("random_walk", "C(b)", {"fallback": "sparse", "max_states": 1}),
+    "ladder-mcmc": (
+        "two_walkers", "C(b) or D(a)",
+        {"fallback": "mcmc", "max_states": 2, "samples": 40, "burn_in": 6, "seed": 3},
+    ),
+    "mcmc-cached": (
+        "two_walkers", "C(b) and D(a)",
+        {"mcmc": True, "samples": 60, "burn_in": 7, "seed": 5},
+    ),
+    "mcmc-uncached": (
+        "two_walkers", "C(b) and D(a)",
+        {"mcmc": True, "samples": 60, "burn_in": 7, "seed": 5, "cache_size": 0},
+    ),
+    "mcmc-workers2": (
+        "two_walkers", "C(b) and D(a)",
+        {"mcmc": True, "samples": 60, "burn_in": 7, "seed": 5, "workers": 2},
+    ),
+}
+
+
+class TestSessionDefault:
+    @pytest.mark.parametrize("prepare", [True, False], ids=["service", "cli"])
+    @pytest.mark.parametrize("rung", sorted(SESSION_RUNGS))
+    def test_default_equals_frozenset_on_every_rung(self, rung, prepare):
+        example, event, params = SESSION_RUNGS[rung]
+        default, interpreted = _default_and_interpreted(
+            *_examples(example), event, prepare=prepare, **params
+        )
+        if rung == "partition":
+            # A partitioned payload names no backend; its components run
+            # on the kernel the session holds
+            # (test_partition_components_run_compiled).
+            assert default == interpreted
+            return
+        assert default.get("backend") == "columnar"
+        if default["kind"] == "exact":
+            assert Fraction(default["probability"]) == Fraction(
+                interpreted["probability"]
+            )
+        if default["kind"] == "sparse":
+            # The sparse rung lowers an interpreter's query itself.
+            assert default == interpreted
+            return
+        if "workers" in params:
+            # Worker caches stay warm across tests: only tallies compare.
+            default.pop("transition_cache", None)
+            interpreted.pop("transition_cache", None)
+        assert "backend" not in interpreted
+        default.pop("backend")
+        assert default == interpreted
+
+    @pytest.mark.parametrize("backend", [None, "frozenset"], ids=["default", "frozenset"])
+    def test_partition_components_run_compiled(self, backend, monkeypatch):
+        import repro.kernel.lowering as lowering
+
+        lowered_components = []
+        lower_step = lowering.lower
+
+        def recording(query, initial, context=None):
+            out = lower_step(query, initial, context)
+            lowered_components.append(lowered(out[0]))
+            return out
+
+        monkeypatch.setattr(lowering, "lower", recording)
+        params = {"partition": "auto", **({"backend": backend} if backend else {})}
+        request = _session_request(*_examples("two_walkers"), "C(b) and D(a)", **params)
+        payload = EngineSession.from_request(request).evaluate(request)
+        assert payload["probability"] == "1/4"
+        # The session lowers the request's query, then each component.
+        assert lowered_components == ([True] * 3 if backend is None else [])
+
+    @pytest.mark.parametrize("writer", [None, "frozenset"], ids=["default", "frozenset"])
+    @pytest.mark.parametrize("reader", [None, "frozenset"], ids=["default", "frozenset"])
+    @pytest.mark.parametrize("cache_size", [None, 0], ids=["cached", "uncached"])
+    def test_checkpoint_and_resume_across_kernels(self, tmp_path, writer, reader, cache_size):
+        program, database = _examples("random_walk")
+        params = {"mcmc": True, "samples": 40, "burn_in": 9, "seed": 11}
+        if cache_size is not None:
+            params["cache_size"] = cache_size
+
+        def request(backend):
+            return _session_request(
+                program, database, "C(b)",
+                **params, **({"backend": backend} if backend else {}),
+            )
+
+        full = EngineSession.prepare(request(None)).evaluate(request(None))
+        path = tmp_path / "ck.json"
+        with pytest.raises(BudgetExceededError):
+            EngineSession.prepare(request(writer)).evaluate(
+                request(writer), RunContext(Budget(max_steps=121)),
+                checkpoint_path=str(path),
+            )
+        resumed = EngineSession.prepare(request(reader)).evaluate(
+            request(reader), resume=str(path)
+        )
+        assert resumed.pop("resumed_at") == 13
+        assert resumed.get("backend") == ("columnar" if reader is None else None)
+        for payload in (full, resumed):
+            payload.pop("backend", None)
+            payload.pop("transition_cache", None)
+        assert resumed == full
+
+    def test_two_worker_tasks_in_a_row_on_dynamic_symbols(self):
+        """Persistent workers keep one warm cache per compiled program;
+        a later task runs on the cached kernel, whose symbol table holds
+        the weights an earlier task interned."""
+        tallies = {}
+        for backend in (None, "frozenset"):
+            session = None
+            for seed in (21, 22, 23):
+                request = _session_request(
+                    FOOTNOTE, FOOTNOTE_DATABASE, "M(10/21) or M(14/45)",
+                    mcmc=True, samples=80, burn_in=5, seed=seed, workers=2,
+                    **({"backend": backend} if backend else {}),
+                )
+                session = session or EngineSession.prepare(request)
+                payload = session.evaluate(request)
+                tallies.setdefault(backend, []).append(payload["positive"])
+            assert (payload.get("backend") == "columnar") == (backend is None)
+        assert tallies[None] == tallies["frozenset"]
+        assert all(tallies[None])
+
+    def test_a_pc_table_program_is_compiled_once_per_session(self, monkeypatch):
+        import repro.kernel.lowering as lowering
+
+        edges = [("n0", "n1", 1), ("n1", "n1", 1)]
+        pc = PCDatabase(
+            {"E": CTable(
+                ("I", "J", "P"),
+                [(row, TRUE) for row in edges] + [(("n1", "n0", 1), var_eq("x", 1))],
+            )},
+            {"x": boolean_variable(Fraction(3, 4))},
+        )
+        kernel = Interpretation(parse_interpretation(WALK).queries, pc_tables=pc)
+        database = Database({
+            "C": Relation(("I",), [("n0",)]), "E": Relation(("I", "J", "P"), edges),
+        })
+        attempts = []
+        compile_kernel = lowering.compile_kernel
+
+        def counted(*args, **kwargs):
+            attempts.append(args)
+            return compile_kernel(*args, **kwargs)
+
+        monkeypatch.setattr(lowering, "compile_kernel", counted)
+        request = _session_request(WALK, {"relations": {}}, "C(n0)")
+        session = EngineSession(
+            key=request.session_key(), semantics="forever",
+            kernel=kernel, database=database,
+        )
+        before = fallback_total()
+        payloads = [
+            session.evaluate(_session_request(WALK, {"relations": {}}, event, **params))
+            for event, params in [
+                ("C(n0)", {}), ("C(n1)", {}), ("C(n1)", {"lumped": True}),
+                ("C(n1)", {"mcmc": True, "samples": 20, "burn_in": 3, "seed": 1}),
+                ("C(n0)", {"backend": "columnar"}),
+            ]
+        ]
+        assert len(attempts) == 1
+        assert fallback_total() == before + 1
+        assert all("backend" not in payload for payload in payloads)
+        expected = evaluate_forever_exact(ForeverQuery(kernel, parse_event("C(n1)")), database)
+        assert payloads[1]["probability"] == str(expected.probability)

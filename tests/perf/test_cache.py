@@ -147,6 +147,123 @@ class TestIntegration:
             build_state_chain(query.kernel, db, cache=TransitionCache(other))
 
 
+class TestBatchedLookups:
+    """``TransitionCache.expand``: the counters of one lookup per state,
+    the rows of one ``kernel.expand`` per batch."""
+
+    @staticmethod
+    def _pair(backend):
+        from repro.kernel import lower
+        from repro.workloads import complete_graph
+
+        query, db = random_walk_query(complete_graph(6), "n0", "n1")
+        if backend == "columnar":
+            query, db = lower(query, db)
+        return query.kernel, db
+
+    @staticmethod
+    def _counters(cache):
+        return (cache.hits, cache.misses, cache.evictions, len(cache))
+
+    @pytest.mark.parametrize("backend", ["frozenset", "columnar"])
+    @pytest.mark.parametrize("maxsize", [4096, 3], ids=["roomy", "evicting"])
+    def test_counters_equal_a_one_at_a_time_build(self, backend, maxsize, monkeypatch):
+        kernel, db = self._pair(backend)
+        order = build_state_chain(kernel, db).states
+        batched = TransitionCache(kernel, maxsize=maxsize)
+        reference = TransitionCache(kernel, maxsize=maxsize)
+        lookups = []
+        row = TransitionCache.row
+
+        def counted(self, state):
+            if self is batched:
+                lookups.append(state)
+            return row(self, state)
+
+        monkeypatch.setattr(TransitionCache, "row", counted)
+        for build in ("cold", "warm", "warm again"):
+            chain = build_state_chain(kernel, db, cache=batched)
+            for state in order:
+                reference.transition(state)
+            assert self._counters(batched) == self._counters(reference), build
+            assert list(chain.states) == list(order)
+        assert lookups == list(order) * 3
+        if maxsize == 3:
+            assert batched.evictions > 0
+
+    def test_a_batch_evicting_its_own_rows_computes_no_row_twice(self):
+        kernel, db = self._pair("columnar")
+        cache = TransitionCache(kernel, maxsize=2)
+        calls = []
+        expand = kernel.expand
+        kernel_calls = lambda states: calls.append(len(states)) or expand(states)
+        order = build_state_chain(kernel, db).states
+        cache.expand(order[1:])  # warm rows that the next batch evicts
+        kernel.expand = kernel_calls
+        try:
+            rows = cache.expand(order)
+        finally:
+            del kernel.expand
+        assert calls == [len(order) - 2]
+        assert rows == [kernel.transition(state) for state in order]
+
+    def test_a_cached_compiled_build_never_calls_transition(self, monkeypatch):
+        from repro.kernel import CompiledKernel
+
+        kernel, db = self._pair("columnar")
+        expected = build_state_chain(kernel, db)
+
+        def refuse(self, state):
+            raise AssertionError("a cached build called CompiledKernel.transition")
+
+        monkeypatch.setattr(CompiledKernel, "transition", refuse)
+        for maxsize in (4096, 3):
+            cache = TransitionCache(kernel, maxsize=maxsize)
+            for _ in range(2):
+                chain = build_state_chain(kernel, db, cache=cache)
+                assert list(chain.states) == list(expected.states)
+                for state in chain.states:
+                    assert chain.successors(state) == expected.successors(state)
+
+
+    def test_concurrent_batched_builds_share_an_evicting_cache(self):
+        """Threads building one chain through one small cache each get
+        the chain a cold build gives, and every lookup is counted."""
+        import sys
+        import threading
+
+        kernel, db = self._pair("columnar")
+        expected = build_state_chain(kernel, db)
+        rows = [list(expected.successors(state).items()) for state in expected.states]
+        cache = TransitionCache(kernel, maxsize=3)
+        errors = []
+
+        def build():
+            try:
+                for _ in range(5):
+                    chain = build_state_chain(kernel, db, cache=cache)
+                    assert list(chain.states) == list(expected.states)
+                    assert [
+                        list(chain.successors(state).items()) for state in chain.states
+                    ] == rows
+            except Exception as error:  # pragma: no cover - failure path
+                errors.append(error)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=build) for _ in range(6)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors
+        assert cache.hits + cache.misses == 6 * 5 * expected.size
+
+
 class TestThreadSafety:
     def test_concurrent_walkers_share_one_cache(self, walk):
         """Scheduler workers share a session's cache; rows must never

@@ -43,6 +43,7 @@ from repro.errors import (
     StateSpaceLimitExceeded,
 )
 from repro.io import database_from_json, pc_database_from_json
+from repro.kernel import lower
 from repro.obs import MemorySink, Tracer
 from repro.probability import Distribution
 from repro.probability.distribution import as_fraction
@@ -206,8 +207,15 @@ class _Case:
             cache_size=cache_size,
         )
 
-    def fresh(self, event_text: str, **limits) -> dict:
-        """A fresh ``evaluate_*_exact`` result, rendered as the session renders it."""
+    def fresh(self, event_text: str, backend: str | None = None, **limits) -> dict:
+        """A fresh ``evaluate_*_exact`` result on the kernel a session
+        runs ``backend`` on, rendered as the session renders it.
+
+        A forever-query runs on the compiled kernel unless ``backend``
+        is ``frozenset``, an inflationary one only when it is
+        ``columnar``; a compiled answer must equal the interpreter's,
+        Fraction for Fraction.
+        """
         event = parse_event(event_text)
         database = database_from_json(self.database)
         if self.semantics == "datalog":
@@ -221,13 +229,18 @@ class _Case:
             return payload
         kernel = self.pc_kernel or parse_interpretation(self.program)
         if self.semantics == "forever":
-            result = evaluate_forever_exact(
-                ForeverQuery(kernel, event), database, **limits
-            )
+            query, evaluate = ForeverQuery(kernel, event), evaluate_forever_exact
         else:
-            result = evaluate_inflationary_exact(
-                InflationaryQuery(kernel, event), database, **limits
+            query, evaluate = (
+                InflationaryQuery(kernel, event), evaluate_inflationary_exact
             )
+        compiled = backend == "columnar" or (
+            self.semantics == "forever" and backend != "frozenset"
+        )
+        result = evaluate(query, database, **limits)
+        if compiled and self.pc_kernel is None:
+            interpreted, result = result, evaluate(*lower(query, database), **limits)
+            assert result.probability == interpreted.probability
         return result_payload(result)
 
 
@@ -264,13 +277,16 @@ class TestDifferential:
 
     @pytest.mark.parametrize("name", ["irreducible", "birth-death", "inflationary"])
     def test_the_columnar_kernel_keeps_its_own_solution(self, name):
+        """The kernel a request names beside the session's default one
+        (the interpreter for forever-queries, the compiled kernel for
+        inflationary ones) stores its own solution."""
         case = _Case(name)
         session = case.session()
-        columnar = {"backend": "columnar"}
+        other = "frozenset" if case.semantics == "forever" else "columnar"
         for event in case.events[:4]:
-            payload = session.evaluate(case.request(event, columnar))
-            fresh = case.fresh(event)
-            assert payload == {**fresh, "backend": "columnar"}, event
+            payload = session.evaluate(case.request(event, {"backend": other}))
+            assert payload == case.fresh(event, backend=other), event
+            assert ("backend" in payload) == (other == "columnar")
         assert len(session.solutions) == 1
         session.evaluate(case.request(case.events[0]))
         assert len(session.solutions) == 2

@@ -379,3 +379,68 @@ class TestLumpedFlag:
         assert "method: lumped" in out
         assert "probability: 1/3" in out
         assert "full_states: 2" in out and "quotient_states: 2" in out
+
+
+class TestOneParserPerProcess:
+    def test_successive_calls_match_a_fresh_parser(self, workspace, capsys, monkeypatch):
+        """``main`` builds its parser once; each call's payload (and exit
+        status, bad flags included) is the one a fresh parser gives."""
+        import repro.cli as cli
+
+        walk = ["--db", workspace["db"], "--event", "C(b)", "--json"]
+        calls = [
+            ["forever", workspace["walk"], *walk],
+            ["chain", workspace["walk"], "--db", workspace["db"], "--json"],
+            ["forever", workspace["walk"], *walk, "--no-such-flag"],
+            ["datalog", workspace["program"], "--db", workspace["db"],
+             "--event", "c(w)", "--json"],
+            ["forever", workspace["walk"], *walk, "--backend", "frozenset"],
+            ["forever", workspace["walk"], *walk, "--samples", "0"],
+            ["inflationary", workspace["reach"], *walk],
+            ["forever", workspace["walk"], *walk, "--lumped"],
+        ]
+
+        def run(argv):
+            try:
+                code = cli.main(argv)
+            except SystemExit as stop:
+                code = stop.code
+            captured = capsys.readouterr()
+            return code, captured.out, captured.err
+
+        built = []
+        build = cli.build_arg_parser
+        monkeypatch.setattr(cli, "build_arg_parser", lambda: built.append(1) or build())
+        monkeypatch.setattr(cli, "_PARSER", None)
+        shared = [run(argv) for argv in calls]
+        assert len(built) == 1
+        fresh = []
+        for argv in calls:
+            monkeypatch.setattr(cli, "_PARSER", None)
+            fresh.append(run(argv))
+        assert shared == fresh
+        assert [code for code, _out, _err in shared] == [0, 0, 2, 0, 0, 2, 0, 0]
+        assert "unrecognized arguments: --no-such-flag" in shared[2][2]
+        assert cli.build_arg_parser() is not cli.build_arg_parser()
+
+
+class TestBackendDefault:
+    def test_forever_runs_compiled_by_default(self, workspace, capsys):
+        """A forever-query runs on the compiled kernel unless it asks for
+        the interpreter; both give the same exact answer."""
+        args = ["forever", workspace["walk"], "--db", workspace["db"],
+                "--event", "C(b)", "--json"]
+        assert main(args) == 0
+        default = json.loads(capsys.readouterr().out)
+        assert main([*args, "--backend", "frozenset"]) == 0
+        interpreted = json.loads(capsys.readouterr().out)
+        assert default.pop("backend") == "columnar"
+        assert "backend" not in interpreted
+        assert default == interpreted
+        assert default["probability"] == "1/3"
+
+    def test_inflationary_stays_on_the_interpreter(self, workspace, capsys):
+        args = ["inflationary", workspace["reach"], "--db", workspace["db"],
+                "--event", "C(b)", "--json"]
+        assert main(args) == 0
+        assert "backend" not in json.loads(capsys.readouterr().out)
