@@ -15,6 +15,7 @@ import time
 from fractions import Fraction
 
 from repro.core import evaluate_forever_exact
+from repro.kernel import lower
 from repro.sparse import evaluate_forever_sparse
 from repro.workloads import erdos_renyi, random_walk_query
 
@@ -32,7 +33,7 @@ def test_exact_vs_sparse(benchmark, report):
         exact_time = time.perf_counter() - t0
 
         t0 = time.perf_counter()
-        sparse = evaluate_forever_sparse(query, db)
+        sparse = evaluate_forever_sparse(*lower(query, db))
         sparse_time = time.perf_counter() - t0
 
         assert sparse.states_explored == exact.states_explored
@@ -52,7 +53,7 @@ def test_exact_vs_sparse(benchmark, report):
     graph = erdos_renyi(10, 0.3, rng=10)
     query, db = random_walk_query(graph, "n0", "n1")
     benchmark.pedantic(
-        lambda: evaluate_forever_sparse(query, db), rounds=3, iterations=1
+        lambda: evaluate_forever_sparse(*lower(query, db)), rounds=3, iterations=1
     )
 
     report(

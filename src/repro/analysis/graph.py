@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from typing import AbstractSet, Iterable, Mapping, Sequence
 
 from repro.datalog.ast import Rule
+from repro.markov.analysis import tarjan
 from repro.relational.algebra import (
     Difference,
     Expression,
@@ -96,54 +97,14 @@ class DependencyGraph:
         return reached
 
     def strongly_connected_components(self) -> list[frozenset[str]]:
-        """Tarjan's algorithm, iterative so deep chains cannot overflow
-        the recursion limit."""
-        index: dict[str, int] = {}
-        lowlink: dict[str, int] = {}
-        on_stack: set[str] = set()
-        stack: list[str] = []
-        components: list[frozenset[str]] = []
-        counter = 0
-
-        for root in sorted(self._successors):
-            if root in index:
-                continue
-            work: list[tuple[str, "list[str]"]] = [(root, sorted(self._successors[root]))]
-            index[root] = lowlink[root] = counter
-            counter += 1
-            stack.append(root)
-            on_stack.add(root)
-            while work:
-                node, successors = work[-1]
-                advanced = False
-                while successors:
-                    successor = successors.pop()
-                    if successor not in index:
-                        index[successor] = lowlink[successor] = counter
-                        counter += 1
-                        stack.append(successor)
-                        on_stack.add(successor)
-                        work.append((successor, sorted(self._successors[successor])))
-                        advanced = True
-                        break
-                    if successor in on_stack:
-                        lowlink[node] = min(lowlink[node], index[successor])
-                if advanced:
-                    continue
-                work.pop()
-                if work:
-                    parent = work[-1][0]
-                    lowlink[parent] = min(lowlink[parent], lowlink[node])
-                if lowlink[node] == index[node]:
-                    component: set[str] = set()
-                    while True:
-                        member = stack.pop()
-                        on_stack.discard(member)
-                        component.add(member)
-                        if member == node:
-                            break
-                    components.append(frozenset(component))
-        return components
+        """Tarjan's algorithm (:func:`repro.markov.analysis.tarjan`)
+        over the nodes in sorted order."""
+        nodes = sorted(self._successors)
+        ids = {node: i for i, node in enumerate(nodes)}
+        components = tarjan(
+            [sorted(ids[successor] for successor in self._successors[node]) for node in nodes]
+        )
+        return [frozenset(nodes[i] for i in component) for component in components]
 
     def negative_cycle_members(self) -> set[str]:
         """Nodes of every cycle that contains a negative edge.

@@ -35,7 +35,6 @@ from repro.kernel.lowering import (
     source_database,
     source_query,
 )
-from repro.kernel.repair import sample_repair_columnar
 from repro.kernel.symbols import SymbolTable
 
 __all__ = [
@@ -61,5 +60,4 @@ __all__ = [
     "source_database",
     "fallback_total",
     "fallback_reasons",
-    "sample_repair_columnar",
 ]

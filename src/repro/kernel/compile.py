@@ -55,7 +55,7 @@ from repro.kernel.columnar import (
     intern_database,
     normalize_rows,
 )
-from repro.kernel.repair import repair_instances, sample_repair_columnar
+from repro.kernel.repair import repair_instances
 from repro.kernel.symbols import SymbolTable
 from repro.probability.distribution import Distribution
 from repro.relational import algebra
@@ -199,18 +199,26 @@ _ONE = Fraction(1)
 
 
 class _Batch:
-    """The states one :meth:`CompiledKernel.expand` call evaluates.
+    """The states one :meth:`CompiledKernel.expand` or
+    ``sample_transition`` call evaluates.
 
     ``varying`` names the relations whose object differs between the
     states: a deterministic node that reads none of them is the same for
-    every state and is evaluated once, on ``states[0]``.
+    every state and is evaluated once, on ``states[0]``.  With ``rng``,
+    every repair-key draws one world instead of enumerating them all.
     """
 
-    __slots__ = ("states", "varying")
+    __slots__ = ("states", "varying", "rng")
 
-    def __init__(self, states: Sequence[ColumnarDatabase], varying: frozenset[str]):
+    def __init__(
+        self,
+        states: Sequence[ColumnarDatabase],
+        varying: frozenset[str],
+        rng: random.Random | None = None,
+    ):
         self.states = states
         self.varying = varying
+        self.rng = rng
 
 
 class _Instances:
@@ -332,16 +340,6 @@ class _Node:
     def evaluate(self, db: ColumnarDatabase) -> ColumnarRelation:
         raise NotImplementedError
 
-    def sample(self, db: ColumnarDatabase, rng: random.Random) -> ColumnarRelation:
-        """Mirror of :func:`prob_eval.sample_world`: deterministic
-        subtrees consume no randomness."""
-        if self.deterministic:
-            return self.evaluate(db)
-        return self._sample(db, rng)
-
-    def _sample(self, db: ColumnarDatabase, rng: random.Random) -> ColumnarRelation:
-        raise NotImplementedError
-
     def rows(self, batch: _Batch) -> ColumnarRelation | _Instances:
         """This node over a batch: one relation when it is the same for
         every state, else the rows of every instance."""
@@ -408,9 +406,6 @@ class _UnaryNode(_Node):
     def evaluate(self, db):
         return self.apply(self.child.evaluate(db))
 
-    def _sample(self, db, rng):
-        return self.apply(self.child.sample(db, rng))
-
     def _rows(self, batch):
         # This node differs between instances, so its child does too.
         child = self.child.rows(batch)
@@ -451,14 +446,9 @@ class _BinaryNode(_Node):
             self.columns, self.apply_rows(left.data, right.data, len(self.table))
         )
 
-    def _sample(self, db, rng):
+    def _rows(self, batch):
         # Left before right: the frozenset sampler recurses in this
         # order, and RNG draws must interleave identically.
-        left = self.left.sample(db, rng)
-        right = self.right.sample(db, rng)
-        return self.apply(left, right)
-
-    def _rows(self, batch):
         left, right = self.left.rows(batch), self.right.rows(batch)
         if isinstance(right, ColumnarRelation):
             return _Instances(self.with_right(left, right), left.owner, left.weights)
@@ -621,12 +611,10 @@ class _JoinNode(_BinaryNode):
 
 
 class _RepairNode(_UnaryNode):
-    __slots__ = ("key", "weight", "memo", "key_idx", "widx")
+    __slots__ = ("memo", "key_idx", "widx")
 
     def __init__(self, child, key, weight, table):
         super().__init__(child, child.columns, table)
-        self.key = key
-        self.weight = weight
         self.deterministic = False
         # Group weight ids -> exact choice probabilities.
         self.memo: dict = {}
@@ -636,10 +624,6 @@ class _RepairNode(_UnaryNode):
         self.key_idx = [position.get(name) for name in key]
         self.widx = None if weight is None else position.get(weight)
 
-    def _sample(self, db, rng):
-        child = self.child.sample(db, rng)
-        return sample_repair_columnar(child, self.table, rng, self.key, self.weight)
-
     def _rows(self, batch):
         child = self.child.rows(batch)
         if isinstance(child, ColumnarRelation):
@@ -647,7 +631,7 @@ class _RepairNode(_UnaryNode):
             child = _Instances(_broadcast(child.data, count), _states(count), None)
         data, owner, weights = repair_instances(
             child.data, child.owner, child.weights, self.table,
-            self.key_idx, self.widx, self.memo,
+            self.key_idx, self.widx, self.memo, batch.rng,
         )
         return _Instances(data, owner, weights)
 
@@ -983,6 +967,15 @@ class CompiledKernel:
     def without_pc_tables(self) -> "CompiledKernel":
         return self
 
+    def restricted_to(
+        self, interpretation, schema: dict[str, tuple[str, ...]]
+    ) -> "CompiledKernel":
+        """The kernel of ``interpretation``, some of this kernel's
+        queries, on states of ``schema``: this kernel's plans for them,
+        over the same symbol table, so nothing is compiled again."""
+        plans = {name: self.plans[name] for name in interpretation.queries}
+        return CompiledKernel(interpretation, self.table, plans, schema)
+
     # -- semantics ---------------------------------------------------------
 
     def transition(self, db: ColumnarDatabase) -> Distribution[ColumnarDatabase]:
@@ -1040,9 +1033,17 @@ class CompiledKernel:
     def sample_transition(
         self, db: ColumnarDatabase, rng: random.Random
     ) -> ColumnarDatabase:
-        updates = {
-            name: self.plans[name].sample(db, rng) for name in self._sorted_names
-        }
+        """One drawn successor of ``db``: each plan over a one-state
+        batch whose repair-keys draw from ``rng``, in name order, which
+        consumes the interpreter's stream."""
+        batch = _Batch((db,), frozenset(), rng)
+        updates = {}
+        for name in self._sorted_names:
+            plan = self.plans[name]
+            result = plan.rows(batch)
+            if isinstance(result, _Instances):
+                result = ColumnarRelation._trusted(plan.columns, result.data[:, 1:].copy())
+            updates[name] = result
         return db.with_relations(updates)
 
     def cached(self, maxsize: int | None = None):

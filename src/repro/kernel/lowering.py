@@ -9,8 +9,7 @@ draws identical to the interpreter's.  Callers lower where a request
 is read: the service session (once per session, for every forever
 request not asking for ``backend: frozenset`` and for ``backend:
 columnar`` inflationary ones), ``repro chain`` (unless ``--backend
-frozenset``), the sparse rung (which runs compiled whenever the program
-lowers) and library callers that want the speed.
+frozenset``) and library callers that want the speed.
 
 A program the kernel cannot express — attached pc-tables, opaque
 :class:`~repro.relational.predicates.RowPredicate` selections, foreign

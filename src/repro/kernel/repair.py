@@ -1,26 +1,23 @@
 """Vectorized ``repair-key`` over columnar relations.
 
-The semantics is exactly :mod:`repro.relational.repair`; the point of
-this module is (a) speed — grouping and ordering are array operations
-and the per-row weight floats come from the symbol table's per-ID cache
-instead of a fresh ``float(Fraction(...))`` per step — and (b) the
-bit-identical RNG stream: groups are visited in canonical key order and
-rows within a group in canonical row order (the array is sorted by
-``(key columns, full row)`` under the rank permutation, which reduces to
-a plain lexsort while no dynamic intern has happened), a uniform group
-consumes one ``randrange``, a weighted group one ``random()`` compared
-against the same sequential float accumulation.  A fixed seed therefore
-draws the same worlds here and in the frozenset interpreter.
-
-Footnote 1 (merging rows that agree on the non-weight columns by
-summing their weights) is detected on sorted rows by comparing each row
+The semantics is exactly :mod:`repro.relational.repair`, over a batch
+of instances in one array pass (:meth:`repro.kernel.CompiledKernel.expand`
+and ``sample_transition``).  Both readings of the operator share that
+pass: footnote 1 merges rows that agree on the non-weight columns by
+summing their weights (detected on sorted rows by comparing each row
 with the next; when it fires — rare in the paper's workloads — the
-summed fractions are computed exactly and interned dynamically.
+summed fractions are computed exactly and interned dynamically), and
+the rows are then grouped in canonical ``(key columns, full row)``
+order under the rank permutation, which reduces to a plain sort while
+no dynamic intern has happened.
 
-:func:`sample_repair_columnar` draws one world of one relation;
-:func:`repair_instances` enumerates every world of every instance of a
-batch (:meth:`repro.kernel.CompiledKernel.expand`) with exact
-``Fraction`` probabilities.
+:func:`repair_instances` then either enumerates every world of every
+instance with exact ``Fraction`` probabilities, or, given a generator,
+draws one: a uniform group consumes one ``randrange``, a weighted group
+one ``random()`` compared against the sequential float accumulation of
+the symbol table's cached weights.  That is the RNG stream of
+:func:`repro.relational.repair.sample_repair` bit for bit, so a fixed
+seed draws the same worlds here and in the frozenset interpreter.
 """
 
 from __future__ import annotations
@@ -31,161 +28,14 @@ from itertools import product
 
 import numpy as np
 
-from repro.kernel.columnar import ColumnarRelation, normalize_rows
-from repro.kernel.ops import encode_rows
+from repro.kernel.columnar import normalize_rows
 from repro.kernel.symbols import SymbolTable
 
-__all__ = ["sample_repair_columnar", "repair_instances"]
+__all__ = ["repair_instances"]
 
 #: Distinct groups a repair node remembers the probabilities of; past
 #: it the memo starts over, which bounds its memory.
 _MEMO_LIMIT = 4096
-
-
-def _validate_weights(data: np.ndarray, widx: int, table: SymbolTable) -> None:
-    """Raise :class:`ProbabilityError` for non-numeric or non-positive
-    weights, matching the frozenset path's eager validation.  Accepted
-    IDs are memoized on the table, so steady-state steps only pay set
-    lookups."""
-    for symbol_id in data[:, widx].tolist():
-        table.check_weight(symbol_id)
-
-
-def _merge_duplicate_weight_rows(
-    data: np.ndarray, widx: int, table: SymbolTable
-) -> np.ndarray:
-    """Footnote 1: merge rows equal on all non-weight columns, summing P."""
-    _validate_weights(data, widx, table)
-    if data.shape[0] <= 1:
-        return data
-    nonw = [i for i in range(data.shape[1]) if i != widx]
-    sub = data[:, nonw]
-    keys = encode_rows(np.ascontiguousarray(sub), len(table))
-    if keys is not None:
-        sorted_keys = np.sort(keys)
-        if (sorted_keys[1:] != sorted_keys[:-1]).all():
-            # No two rows agree on the non-weight columns — the common
-            # case, detected on one folded key per row.
-            return data
-        order = np.argsort(keys, kind="stable")
-        changed = sorted_keys[1:] != sorted_keys[:-1]
-    else:
-        order = np.lexsort(sub.T[::-1])
-        sorted_sub = sub[order]
-        changed = (sorted_sub[1:] != sorted_sub[:-1]).any(axis=1)
-        if changed.all():
-            return data
-    starts = np.concatenate([[0], np.flatnonzero(changed) + 1])
-    counts = np.diff(np.append(starts, data.shape[0]))
-    merged_rows = []
-    for start, count in zip(starts.tolist(), counts.tolist()):
-        group = order[start : start + count]
-        first = data[group[0]].copy()
-        if count > 1:
-            total = Fraction(0)
-            for row_index in group.tolist():
-                total += table.weight_fraction(int(data[row_index, widx]))
-            first[widx] = table.intern(total)
-        merged_rows.append(first)
-    return np.stack(merged_rows)
-
-
-def _canonical_group_sort(
-    data: np.ndarray,
-    key_idx: list[int],
-    table: SymbolTable,
-    assume_sorted: bool = False,
-) -> tuple[np.ndarray, list[int], list[int]]:
-    """Sort rows by (key columns, full row) in canonical value order and
-    return (sorted_data, group_starts, group_ends).
-
-    With ``assume_sorted`` (rows already in raw-ID lexicographic order,
-    i.e. straight out of a normalized relation), a prefix key under an
-    identity rank needs no sort at all — (key columns, full row) order
-    *is* full-row order then.
-    """
-    n, arity = data.shape
-    rank = table.rank_array()
-    prefix_key = key_idx == list(range(len(key_idx)))
-    if assume_sorted and rank is None and prefix_key:
-        sorted_data = data
-        if key_idx and n > 1:
-            key_block = data[:, : len(key_idx)]
-            changed = (key_block[1:] != key_block[:-1]).any(axis=1)
-            starts = [0] + (np.flatnonzero(changed) + 1).tolist()
-        else:
-            starts = [0]
-    else:
-        view = data if rank is None else rank[data]
-        sort_keys = [view[:, i] for i in reversed(range(arity))] + [
-            view[:, i] for i in reversed(key_idx)
-        ]
-        order = np.lexsort(tuple(sort_keys))
-        sorted_data = data[order]
-        if key_idx:
-            key_block = (view[order])[:, key_idx]
-            changed = (key_block[1:] != key_block[:-1]).any(axis=1)
-            starts = [0] + (np.flatnonzero(changed) + 1).tolist()
-        else:
-            starts = [0]
-    ends = starts[1:] + [n]
-    return sorted_data, starts, ends
-
-
-def sample_repair_columnar(
-    relation: ColumnarRelation,
-    table: SymbolTable,
-    rng: random.Random,
-    key: tuple[str, ...] = (),
-    weight: str | None = None,
-) -> ColumnarRelation:
-    """Draw one possible world of ``repair-key`` (vectorized).
-
-    Consumes the RNG stream of
-    :func:`repro.relational.repair.sample_repair` bit-for-bit.
-    """
-    if len(relation) == 0:
-        return relation
-    widx = relation.column_index(weight) if weight is not None else None
-    data = relation.data
-    if widx is not None:
-        data = _merge_duplicate_weight_rows(data, widx, table)
-    key_idx = [relation.column_index(c) for c in key]
-    sorted_data, starts, ends = _canonical_group_sort(
-        data, key_idx, table, assume_sorted=data is relation.data
-    )
-    # One chosen row per group, groups ascending by key block: when the
-    # key columns are a prefix of the schema and raw-ID order is still
-    # canonical (no dynamic intern), the picked rows come out already
-    # sorted and unique — skip the normalization pass.
-    prenormalized = (
-        key_idx == list(range(len(key_idx)))
-        and table.rank_array() is None
-    )
-    chosen: list[int] = []
-    if widx is None:
-        for start, end in zip(starts, ends):
-            chosen.append(start + rng.randrange(end - start))
-    else:
-        floats = table.float_list()
-        weights = [floats[i] for i in sorted_data[:, widx].tolist()]
-        for start, end in zip(starts, ends):
-            group = weights[start:end]
-            total = sum(group)
-            pick = rng.random() * total
-            acc = 0.0
-            selected = end - 1
-            for offset, w in enumerate(group):
-                acc += w
-                if pick < acc:
-                    selected = start + offset
-                    break
-            chosen.append(selected)
-    return ColumnarRelation(
-        relation.columns,
-        sorted_data[np.asarray(chosen, dtype=np.int64)],
-        normalized=prenormalized,
-    )
 
 
 def repair_instances(
@@ -196,8 +46,10 @@ def repair_instances(
     key_idx: list[int],
     widx: int | None,
     memo: dict,
+    rng: random.Random | None = None,
 ) -> tuple[np.ndarray, np.ndarray, list[Fraction] | None]:
-    """All possible worlds of ``repair-key`` over a batch of instances.
+    """All possible worlds of ``repair-key`` over a batch of instances,
+    or one drawn world per instance when ``rng`` is given.
 
     ``data`` holds the input rows of every instance, the instance id in
     column 0, sorted and unique per instance; ``owner[i]`` is the batch
@@ -213,9 +65,16 @@ def repair_instances(
     ``memo`` maps a group's weight ids (or, unweighted, its size) to its
     exact choice probabilities, so ``Fraction`` arithmetic runs once per
     distinct group, not once per row.
+
+    With ``rng``, each group picks one row instead, groups in order, so
+    every instance stays one instance with its owner and weight.  Every
+    weight is validated before the first draw, as the interpreter does.
     """
     if data.shape[0] == 0:
         return data, owner, weights
+    if rng is not None and widx is not None:
+        for symbol_id in data[:, widx].tolist():
+            table.check_weight(symbol_id)
     width = data.shape[1]
     prefix = key_idx == list(range(1, len(key_idx) + 1))
     weight_last = widx is None or widx == width - 1
@@ -246,6 +105,11 @@ def repair_instances(
     n = data.shape[0]
     starts = [0] + [i + 1 for i in block.any(axis=1).nonzero()[0].tolist()]
     ends = starts[1:] + [n]
+    if rng is not None:
+        out = data[np.asarray(_draw(data, starts, ends, table, widx, rng), dtype=np.int64)]
+        # Picked in (instance, key) order: already sorted when that is
+        # raw-id row order.
+        return (out if rank is None and prefix else normalize_rows(out)), owner, weights
     if len(memo) > _MEMO_LIMIT:
         memo.clear()
     if widx is None:
@@ -276,6 +140,35 @@ def repair_instances(
         data, owner, weights, starts, ends, group_instance, probabilities,
         sorted_rows=rank is None and prefix,
     )
+
+
+def _draw(
+    data: np.ndarray,
+    starts: list[int],
+    ends: list[int],
+    table: SymbolTable,
+    widx: int | None,
+    rng: random.Random,
+) -> list[int]:
+    """One row per group: the stream of
+    :func:`repro.relational.repair.sample_repair`."""
+    if widx is None:
+        return [start + rng.randrange(end - start) for start, end in zip(starts, ends)]
+    floats = table.float_list()
+    weights = [floats[i] for i in data[:, widx].tolist()]
+    chosen = []
+    for start, end in zip(starts, ends):
+        group = weights[start:end]
+        pick = rng.random() * sum(group)
+        acc = 0.0
+        selected = end - 1
+        for offset, weight in enumerate(group):
+            acc += weight
+            if pick < acc:
+                selected = start + offset
+                break
+        chosen.append(selected)
+    return chosen
 
 
 def _uniform(size: int, memo: dict) -> tuple[Fraction, ...]:

@@ -20,7 +20,6 @@ from repro.markov.analysis import (
     period_of_component,
     reachable_states,
     strongly_connected_components,
-    transition_graph,
 )
 from repro.markov.chain import MarkovChain, chain_from_edges
 from repro.markov.conductance import (
@@ -110,7 +109,6 @@ __all__ = [
     "stationary_distribution",
     "stationary_distribution_float",
     "strongly_connected_components",
-    "transition_graph",
     "tv_distance_curve",
     "tv_from_stationary",
     "walk_states",

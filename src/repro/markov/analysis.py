@@ -11,9 +11,7 @@ states are exactly those in the *leaf* (closed) SCCs of the condensation
 from __future__ import annotations
 
 from math import gcd
-from typing import Hashable, TypeVar
-
-import networkx as nx
+from typing import Hashable, Sequence, TypeVar
 
 from repro.errors import MarkovChainError
 from repro.markov.chain import MarkovChain
@@ -21,13 +19,62 @@ from repro.markov.chain import MarkovChain
 S = TypeVar("S", bound=Hashable)
 
 
-def transition_graph(chain: MarkovChain[S]) -> "nx.DiGraph":
-    """The directed graph of positive-probability transitions."""
-    graph = nx.DiGraph()
-    graph.add_nodes_from(chain.states)
-    for source, target, _weight in chain.edges():
-        graph.add_edge(source, target)
-    return graph
+def tarjan(successors: Sequence[Sequence[int]]) -> list[list[int]]:
+    """The strongly connected components of the graph on ``0 .. n-1``
+    whose node ``i`` has edges to ``successors[i]``.
+
+    Tarjan's algorithm, iterative so deep chains cannot overflow the
+    recursion limit.  Roots are tried in id order and each node's
+    successors from the last.  A component is emitted only after every
+    component it reaches, so the list reversed is a topological order
+    of the condensation.
+    """
+    count = len(successors)
+    index = [-1] * count
+    lowlink = [0] * count
+    on_stack = [False] * count
+    stack: list[int] = []
+    components: list[list[int]] = []
+    counter = 0
+    for root in range(count):
+        if index[root] >= 0:
+            continue
+        index[root] = lowlink[root] = counter
+        counter += 1
+        stack.append(root)
+        on_stack[root] = True
+        work = [(root, list(successors[root]))]
+        while work:
+            node, pending = work[-1]
+            advanced = False
+            while pending:
+                successor = pending.pop()
+                if index[successor] < 0:
+                    index[successor] = lowlink[successor] = counter
+                    counter += 1
+                    stack.append(successor)
+                    on_stack[successor] = True
+                    work.append((successor, list(successors[successor])))
+                    advanced = True
+                    break
+                if on_stack[successor]:
+                    lowlink[node] = min(lowlink[node], index[successor])
+            if advanced:
+                continue
+            work.pop()
+            if work:
+                parent = work[-1][0]
+                lowlink[parent] = min(lowlink[parent], lowlink[node])
+            if lowlink[node] == index[node]:
+                component = []
+                while True:
+                    member = stack.pop()
+                    on_stack[member] = False
+                    component.append(member)
+                    if member == node:
+                        break
+                components.append(component)
+    return components
 
 
 def _components(chain: MarkovChain[S]) -> list[tuple[frozenset[S], bool]]:
@@ -36,13 +83,27 @@ def _components(chain: MarkovChain[S]) -> list[tuple[frozenset[S], bool]]:
     SCC pass (kept on the chain, and inherited by its closed
     restrictions)."""
     if chain._components is None:
-        condensation = nx.condensation(transition_graph(chain))
+        states = chain.states
+        successors = [
+            [chain.index_of(successor) for successor in chain.successors(state)]
+            for state in states
+        ]
+        components = tarjan(successors)[::-1]
+        component_of = [0] * len(states)
+        for number, component in enumerate(components):
+            for node in component:
+                component_of[node] = number
         chain._components = [
             (
-                frozenset(condensation.nodes[node]["members"]),
-                condensation.out_degree(node) == 0,
+                frozenset(states[node] for node in component),
+                # Closed: no edge leaves the component.
+                all(
+                    component_of[successor] == number
+                    for node in component
+                    for successor in successors[node]
+                ),
             )
-            for node in nx.topological_sort(condensation)
+            for number, component in enumerate(components)
         ]
     return chain._components
 

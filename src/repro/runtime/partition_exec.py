@@ -85,6 +85,7 @@ from repro.runtime.degradation import DegradationPolicy
 
 if TYPE_CHECKING:  # pragma: no cover - type-only imports
     from repro.ctables.pctable import PCDatabase
+    from repro.kernel.compile import CompiledKernel
 
 
 @dataclass(frozen=True)
@@ -170,14 +171,15 @@ def evaluate_partitioned(
     error/failure bounds.
 
     A lowered query (:func:`repro.kernel.lower`) is planned and split on
-    its source program, and each component's sub-query is lowered
-    before that component's rung runs.
+    its source program, and each component runs on a kernel cut from
+    the compiled one, over the same symbol table: nothing is compiled
+    again.
     """
     from repro.kernel.lowering import lowered, source_database, source_query
 
     semantics = "inflationary" if isinstance(query, InflationaryQuery) else "forever"
     context = ensure_context(context)
-    lower_components = lowered(query)
+    compiled = query.kernel if lowered(query) else None
     query, initial = source_query(query), source_database(initial)
     kernel = query.kernel
 
@@ -235,7 +237,7 @@ def evaluate_partitioned(
         policy=policy,
         context=context,
         seed=seed,
-        lower_components=lower_components,
+        compiled=compiled,
         prefer_sparse=prefer_sparse,
         workers=workers,
     )
@@ -399,6 +401,23 @@ def _component_problem(
     return sub_kernel, sub_db
 
 
+def _cut(
+    compiled: "CompiledKernel", plan: PartitionPlan, query: Any, database: Database
+) -> tuple[Any, Any]:
+    """A component's ``(query, database)`` on the compiled kernel: its
+    member plans (relation level) or the whole kernel (tuple level),
+    with its event compiled and its start state interned into the
+    kernel's table."""
+    from repro.kernel.columnar import intern_database
+    from repro.kernel.compile import compile_event
+
+    kernel = compiled
+    if plan.level != "tuple":
+        kernel = compiled.restricted_to(query.kernel, database.schema())
+    event = compile_event(query.event, kernel)
+    return query.__class__(kernel, event), intern_database(database, compiled.table)
+
+
 def _solve_one(task: Mapping[str, Any]) -> ComponentOutcome:
     """Evaluate one component (shared by the serial and pooled paths)."""
     from repro.probability.rng import make_rng
@@ -550,12 +569,10 @@ def _solve_components(
     policy: DegradationPolicy | None,
     context: RunContext,
     seed: int | None,
-    lower_components: bool,
+    compiled: "CompiledKernel | None",
     prefer_sparse: bool,
     workers: int,
 ) -> list[ComponentOutcome]:
-    from repro.kernel.lowering import lower
-
     query_cls = InflationaryQuery if semantics == "inflationary" else ForeverQuery
     tasks: list[dict[str, Any]] = []
     for component in plan.components:
@@ -573,8 +590,8 @@ def _solve_components(
                 semantics="forever",
             )
         sub_query = query_cls(sub_kernel, group_event)
-        if lower_components:
-            sub_query, sub_db = lower(sub_query, sub_db, context)
+        if compiled is not None:
+            sub_query, sub_db = _cut(compiled, plan, sub_query, sub_db)
         tasks.append(
             {
                 "name": component.name,

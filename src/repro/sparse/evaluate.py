@@ -86,10 +86,10 @@ def evaluate_forever_sparse(
 ) -> CertifiedResult:
     """Certified float64 result of a forever-query.
 
-    The rung lowers the query (:func:`repro.kernel.lower`) and so runs
-    on the columnar kernel whenever the program lowers; an ineligible
-    program streams off the interpreter, with the reason recorded.  The
-    answer is identical either way — only assembly speed differs.
+    The rung runs the kernel the query holds: a lowered query
+    (:func:`repro.kernel.lower`) assembles on the columnar kernel, a
+    source query streams off the interpreter.  The answer is identical
+    either way — only assembly speed differs.
 
     Raises
     ------
@@ -110,9 +110,8 @@ def evaluate_forever_sparse(
     >>> result.certificate.satisfies()
     True
     """
-    from repro.kernel.lowering import lower, lowered
+    from repro.kernel.lowering import lowered
 
-    query, initial = lower(query, initial, context)
     with phase_scope(context, "sparse-assemble") as scope:
         chain = assemble_sparse_chain(
             query.kernel,

@@ -137,16 +137,16 @@ class TestOneCondensation:
         ids=["complete16", "cycle64", "birth-death-two-leaves"],
     )
     def test_condenses_once(self, monkeypatch, build, probability):
-        import networkx as nx
+        import repro.markov.analysis as analysis
 
         calls = []
-        condensation = nx.condensation
+        tarjan = analysis.tarjan
 
         def counted(*args, **kwargs):
             calls.append(args)
-            return condensation(*args, **kwargs)
+            return tarjan(*args, **kwargs)
 
-        monkeypatch.setattr(nx, "condensation", counted)
+        monkeypatch.setattr(analysis, "tarjan", counted)
         query, db = build()
         result = evaluate_forever_exact(query, db)
         assert result.probability == probability

@@ -1,7 +1,8 @@
 """Bit-exact equivalence between the frozenset and columnar backends.
 
-The gate for the columnar kernel: over the workloads corpus, the
-compiled plans must reproduce the frozenset interpreter *exactly* —
+The gate for the columnar kernel: over the workloads corpus (and, for
+draws, the hand-built corner cases of ``cases.EXTRA``), the compiled
+plans must reproduce the frozenset interpreter *exactly* —
 identical transition distributions (exact ``Fraction`` weights),
 identical sampled trajectories for a shared seed, an identical RNG
 stream afterwards (same number and order of draws), and identical
@@ -17,44 +18,18 @@ import pytest
 
 from repro.core import (
     ForeverQuery,
+    Interpretation,
+    TupleIn,
     evaluate_forever_exact,
     evaluate_forever_lumped,
     evaluate_forever_mcmc,
     evaluate_inflationary_sampling,
 )
+from repro.errors import ProbabilityError
 from repro.kernel import compile_query, extern_database, lower
-from repro.workloads import (
-    barbell_graph,
-    complete_graph,
-    cycle_graph,
-    erdos_renyi,
-    grid_graph,
-    layered_dag,
-    pagerank_query,
-    random_walk_query,
-    reachability_query,
-    star_graph,
-)
+from repro.relational import Database, Relation, join, project, rel, rename, repair_key
 
-CASES = {
-    "walk-cycle": lambda: random_walk_query(cycle_graph(8), "n0", "n3"),
-    "walk-complete": lambda: random_walk_query(complete_graph(5), "n0", "n2"),
-    "walk-barbell": lambda: random_walk_query(barbell_graph(4), "l0", "r2"),
-    "walk-star": lambda: random_walk_query(star_graph(6), "hub", "leaf2"),
-    "walk-grid": lambda: random_walk_query(grid_graph(3, 3), "g0_0", "g2_2"),
-    "walk-er": lambda: random_walk_query(
-        erdos_renyi(8, 0.5, rng=random.Random(13)), "n0", "n5"
-    ),
-    "pagerank": lambda: pagerank_query(
-        complete_graph(5), Fraction(1, 5), "n0", "n2"
-    ),
-    "pagerank-cycle": lambda: pagerank_query(
-        cycle_graph(6), Fraction(1, 4), "n0", "n3"
-    ),
-    "reach-dag": lambda: reachability_query(
-        layered_dag(3, 3, rng=random.Random(7)), "v0_0", "sink"
-    ),
-}
+from .cases import ALL, CASES
 
 
 @pytest.mark.parametrize("name", sorted(CASES), ids=sorted(CASES))
@@ -135,19 +110,43 @@ def test_tuple_events_identical_on_every_state(name):
         )
 
 
-@pytest.mark.parametrize("name", sorted(CASES), ids=sorted(CASES))
+@pytest.mark.parametrize("name", sorted(ALL), ids=sorted(ALL))
 def test_sampled_trajectories_and_rng_stream_identical(name):
-    query, db = CASES[name]()
+    query, db = ALL[name]()
     compiled = compile_query(query, db)
-    rng_f, rng_c = random.Random(42), random.Random(42)
-    state_f, state_c = db, compiled.initial
-    for step in range(40):
-        state_f = query.kernel.sample_transition(state_f, rng_f)
-        state_c = compiled.kernel.sample_transition(state_c, rng_c)
-        assert extern_database(state_c) == state_f, f"step {step}"
-        assert compiled.event.holds(state_c) == query.event.holds(state_f)
-    # Same draws, in the same order: the whole RNG stream must agree.
-    assert rng_f.getstate() == rng_c.getstate()
+    for seed in (42, 7, 2026):
+        rng_f, rng_c = random.Random(seed), random.Random(seed)
+        state_f, state_c = db, compiled.initial
+        for step in range(40):
+            state_f = query.kernel.sample_transition(state_f, rng_f)
+            state_c = compiled.kernel.sample_transition(state_c, rng_c)
+            assert extern_database(state_c) == state_f, f"seed {seed}, step {step}"
+            assert compiled.event.holds(state_c) == query.event.holds(state_f)
+        # Same draws, in the same order: the whole RNG stream must agree.
+        assert rng_f.getstate() == rng_c.getstate(), f"seed {seed}"
+
+
+def _weighted_walk(bad_weight):
+    kernel = Interpretation({
+        "C": rename(project(repair_key(join(rel("C"), rel("E")), ("I",), "P"), "J"), J="I"),
+    })
+    edges = Relation(("I", "J", "P"), [("a", "b", 1), ("a", "c", bad_weight), ("b", "a", 2)])
+    db = Database({"C": Relation(("I",), [("a",)]), "E": edges})
+    return ForeverQuery(kernel, TupleIn("C", ("b",))), db
+
+
+@pytest.mark.parametrize("bad_weight", [0, -1, "x"], ids=["zero", "negative", "string"])
+@pytest.mark.parametrize("backend", ["frozenset", "columnar"])
+@pytest.mark.parametrize("step", ["sample_transition", "expand"])
+def test_bad_weights_raise_on_both_kernels(bad_weight, backend, step):
+    query, db = _weighted_walk(bad_weight)
+    if backend == "columnar":
+        query, db = lower(query, db)
+    with pytest.raises(ProbabilityError):
+        if step == "expand":
+            query.kernel.expand([db])
+        else:
+            query.kernel.sample_transition(db, random.Random(1))
 
 
 @pytest.mark.parametrize(

@@ -60,6 +60,8 @@ from repro.workloads import (
     reachability_query,
 )
 
+from .cases import EXTRA
+
 ROOT = Path(__file__).resolve().parents[2]
 EXAMPLES = ROOT / "examples" / "programs"
 
@@ -90,6 +92,13 @@ def _two_walkers():
     return ForeverQuery(kernel, parse_event("C(b) and D(a)")), db
 
 
+def _walkers_in_one_relation():
+    """Two walkers held as rows of one relation: only a tuple-level
+    partition plan splits them."""
+    query, db = EXTRA["two-column-key"]()
+    return ForeverQuery(query.kernel, parse_event("W(x, c) and W(y, a)")), db
+
+
 def _reach():
     graph = layered_dag(2, 3, rng=random.Random(3))
     return reachability_query(graph, "v0_0", "sink")
@@ -114,6 +123,7 @@ FOREVER = {
     "pagerank": lambda: pagerank_query(cycle_graph(4), Fraction(1, 5), "n0", "n2"),
     "guarded-walk": _guarded_walk,
     "two-walkers": _two_walkers,
+    "walkers-in-one-relation": _walkers_in_one_relation,
 }
 
 INFLATIONARY = {"reach": _reach}
@@ -161,7 +171,9 @@ class TestExactRungs:
         assert target.probability == source.probability
         assert target.interval == source.interval
         assert target.certificate.as_dict() == source.certificate.as_dict()
-        assert target.details["backend"] == source.details["backend"] == "columnar"
+        # The rung runs the kernel the query holds.
+        assert source.details["backend"] == "frozenset"
+        assert target.details["backend"] == "columnar"
 
     def test_auto_ladder(self, forever):
         def run(query, db):
@@ -288,20 +300,51 @@ class TestPartition:
         assert target.details["components"] == source.details["components"]
 
     def test_components_lower_onto_their_own_kernels(self, monkeypatch):
-        from repro.kernel import lower as lower_step
-        import repro.kernel.lowering as lowering
-
-        lowered_components = []
-
-        def recording(query, initial, context=None):
-            out = lower_step(query, initial, context)
-            lowered_components.append(lowered(out[0]))
-            return out
-
-        monkeypatch.setattr(lowering, "lower", recording)
+        """Each component of a lowered query runs on a kernel cut from
+        the lowered one (its member plans, the same symbol table):
+        nothing compiles again."""
         _source, (query, db) = _pairs(FOREVER["two-walkers"])
-        evaluate_partitioned(query, db)
-        assert lowered_components == [True, True]
+        calls = _compile_calls(monkeypatch)
+        kernels = _component_kernels(monkeypatch)
+        result = evaluate_partitioned(query, db)
+        assert result.probability == Fraction(1, 4)
+        assert calls == []
+        assert [sorted(kernel.plans) for kernel in kernels] == [["C"], ["D"]]
+        assert all(kernel.table is query.kernel.table for kernel in kernels)
+        assert all(
+            kernel.plans[name] is query.kernel.plans[name]
+            for kernel in kernels for name in kernel.plans
+        )
+
+    def test_tuple_level_components_run_the_lowered_kernel(self, monkeypatch):
+        """Walkers held as rows of one relation split at tuple level
+        only: each component runs the whole lowered kernel on its own
+        rows, with the interpreter's answer."""
+        (source, source_db), (query, db) = _pairs(FOREVER["walkers-in-one-relation"])
+        expected = evaluate_partitioned(source, source_db)
+        calls = _compile_calls(monkeypatch)
+        kernels = _component_kernels(monkeypatch)
+        result = evaluate_partitioned(query, db)
+        assert result.probability == expected.probability == Fraction(1, 12)
+        assert result.details["components"] == expected.details["components"]
+        assert calls == []
+        assert len(kernels) == 2
+        assert all(kernel is query.kernel for kernel in kernels)
+
+
+def _component_kernels(monkeypatch) -> list:
+    """Record the kernel each partition component runs on."""
+    import repro.runtime.partition_exec as partition_exec
+
+    kernels = []
+    solve_one = partition_exec._solve_one
+
+    def recording(task):
+        kernels.append(task["query"].kernel)
+        return solve_one(task)
+
+    monkeypatch.setattr(partition_exec, "_solve_one", recording)
+    return kernels
 
 
 class TestBoundaries:
@@ -425,6 +468,16 @@ SESSION_RUNGS = {
     "exact-two-walkers": ("two_walkers", "C(b) and D(a)", {}),
     "lumped": ("random_walk", "C(b)", {"lumped": True}),
     "partition": ("two_walkers", "C(b) and D(a)", {"partition": "auto"}),
+    "partition-mcmc": (
+        "two_walkers", "C(b) or D(a)",
+        {"partition": "auto", "fallback": "mcmc", "max_states": 1, "samples": 40,
+         "burn_in": 6, "seed": 3},
+    ),
+    "partition-workers2": (
+        "two_walkers", "C(b) or D(a)",
+        {"partition": "auto", "fallback": "mcmc", "max_states": 1, "samples": 40,
+         "burn_in": 6, "seed": 3, "workers": 2},
+    ),
     "ladder-sparse": ("random_walk", "C(b)", {"fallback": "sparse", "max_states": 1}),
     "ladder-mcmc": (
         "two_walkers", "C(b) or D(a)",
@@ -453,7 +506,7 @@ class TestSessionDefault:
         default, interpreted = _default_and_interpreted(
             *_examples(example), event, prepare=prepare, **params
         )
-        if rung == "partition":
+        if rung.startswith("partition"):
             # A partitioned payload names no backend; its components run
             # on the kernel the session holds
             # (test_partition_components_run_compiled).
@@ -465,9 +518,8 @@ class TestSessionDefault:
                 interpreted["probability"]
             )
         if default["kind"] == "sparse":
-            # The sparse rung lowers an interpreter's query itself.
-            assert default == interpreted
-            return
+            # The sparse rung names the kernel it ran on.
+            assert interpreted.pop("backend") == "frozenset"
         if "workers" in params:
             # Worker caches stay warm across tests: only tallies compare.
             default.pop("transition_cache", None)
@@ -478,23 +530,34 @@ class TestSessionDefault:
 
     @pytest.mark.parametrize("backend", [None, "frozenset"], ids=["default", "frozenset"])
     def test_partition_components_run_compiled(self, backend, monkeypatch):
-        import repro.kernel.lowering as lowering
+        """A partitioned request compiles only what it runs: the CLI's
+        one-shot session compiles the program once, a prepared
+        session's next request compiles nothing, and each component
+        runs on a kernel cut from the session's."""
+        from repro.kernel import CompiledKernel
 
-        lowered_components = []
-        lower_step = lowering.lower
-
-        def recording(query, initial, context=None):
-            out = lower_step(query, initial, context)
-            lowered_components.append(lowered(out[0]))
-            return out
-
-        monkeypatch.setattr(lowering, "lower", recording)
+        calls = _compile_calls(monkeypatch)
+        kernels = _component_kernels(monkeypatch)
         params = {"partition": "auto", **({"backend": backend} if backend else {})}
-        request = _session_request(*_examples("two_walkers"), "C(b) and D(a)", **params)
+        program, database = _examples("two_walkers")
+        request = _session_request(program, database, "C(b) and D(a)", **params)
         payload = EngineSession.from_request(request).evaluate(request)
         assert payload["probability"] == "1/4"
-        # The session lowers the request's query, then each component.
-        assert lowered_components == ([True] * 3 if backend is None else [])
+        compiled = backend is None
+        assert len(calls) == int(compiled)
+        assert [isinstance(kernel, CompiledKernel) for kernel in kernels] == [compiled] * 2
+        if compiled:
+            assert kernels[0].table is kernels[1].table
+
+        session = EngineSession.prepare(request)
+        session.evaluate(request)
+        del calls[:], kernels[:]
+        again = session.evaluate(
+            _session_request(program, database, "C(a) and D(b)", **params)
+        )
+        assert again["partition"]["evaluated"] == 2
+        assert calls == []
+        assert [isinstance(kernel, CompiledKernel) for kernel in kernels] == [compiled] * 2
 
     @pytest.mark.parametrize("writer", [None, "frozenset"], ids=["default", "frozenset"])
     @pytest.mark.parametrize("reader", [None, "frozenset"], ids=["default", "frozenset"])
@@ -549,33 +612,8 @@ class TestSessionDefault:
         assert all(tallies[None])
 
     def test_a_pc_table_program_is_compiled_once_per_session(self, monkeypatch):
-        import repro.kernel.lowering as lowering
-
-        edges = [("n0", "n1", 1), ("n1", "n1", 1)]
-        pc = PCDatabase(
-            {"E": CTable(
-                ("I", "J", "P"),
-                [(row, TRUE) for row in edges] + [(("n1", "n0", 1), var_eq("x", 1))],
-            )},
-            {"x": boolean_variable(Fraction(3, 4))},
-        )
-        kernel = Interpretation(parse_interpretation(WALK).queries, pc_tables=pc)
-        database = Database({
-            "C": Relation(("I",), [("n0",)]), "E": Relation(("I", "J", "P"), edges),
-        })
-        attempts = []
-        compile_kernel = lowering.compile_kernel
-
-        def counted(*args, **kwargs):
-            attempts.append(args)
-            return compile_kernel(*args, **kwargs)
-
-        monkeypatch.setattr(lowering, "compile_kernel", counted)
-        request = _session_request(WALK, {"relations": {}}, "C(n0)")
-        session = EngineSession(
-            key=request.session_key(), semantics="forever",
-            kernel=kernel, database=database,
-        )
+        attempts = _compile_calls(monkeypatch)
+        session, kernel, database = _pc_walk_session()
         before = fallback_total()
         payloads = [
             session.evaluate(_session_request(WALK, {"relations": {}}, event, **params))
@@ -590,3 +628,68 @@ class TestSessionDefault:
         assert all("backend" not in payload for payload in payloads)
         expected = evaluate_forever_exact(ForeverQuery(kernel, parse_event("C(n1)")), database)
         assert payloads[1]["probability"] == str(expected.probability)
+
+    def test_the_sparse_rung_runs_the_session_kernel(self, monkeypatch):
+        """The sparse rung lowers nothing itself: a pc-table session
+        still records one fallback over three sparse answers, and a
+        ``backend: frozenset`` request compiles nothing and answers on
+        the interpreter."""
+        sparse = {"fallback": "sparse", "max_states": 1}
+        session, _kernel, _database = _pc_walk_session()
+        before = fallback_total()
+        for event in ("C(n0)", "C(n1)", "C(n0)"):
+            payload = session.evaluate(
+                _session_request(WALK, {"relations": {}}, event, **sparse)
+            )
+            assert payload["kind"] == "sparse"
+            assert payload["backend"] == "frozenset"
+        assert fallback_total() == before + 1
+
+        calls = _compile_calls(monkeypatch)
+        request = _session_request(
+            *_examples("random_walk"), "C(b)", backend="frozenset", **sparse
+        )
+        payload = EngineSession.prepare(request).evaluate(request)
+        assert payload["kind"] == "sparse"
+        assert payload["backend"] == "frozenset"
+        assert calls == []
+
+
+def _compile_calls(monkeypatch) -> list:
+    """Record every ``compile_kernel`` call, ``compile_query``'s too."""
+    import repro.kernel.compile as compile_module
+    import repro.kernel.lowering as lowering
+
+    calls = []
+    compile_kernel = compile_module.compile_kernel
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return compile_kernel(*args, **kwargs)
+
+    monkeypatch.setattr(compile_module, "compile_kernel", counted)
+    monkeypatch.setattr(lowering, "compile_kernel", counted)
+    return calls
+
+
+def _pc_walk_session():
+    """A forever session on a walk whose edge n1 -> n0 is a pc-table
+    entry (Pr 3/4): the program cannot lower."""
+    edges = [("n0", "n1", 1), ("n1", "n1", 1)]
+    pc = PCDatabase(
+        {"E": CTable(
+            ("I", "J", "P"),
+            [(row, TRUE) for row in edges] + [(("n1", "n0", 1), var_eq("x", 1))],
+        )},
+        {"x": boolean_variable(Fraction(3, 4))},
+    )
+    kernel = Interpretation(parse_interpretation(WALK).queries, pc_tables=pc)
+    database = Database({
+        "C": Relation(("I",), [("n0",)]), "E": Relation(("I", "J", "P"), edges),
+    })
+    request = _session_request(WALK, {"relations": {}}, "C(n0)")
+    session = EngineSession(
+        key=request.session_key(), semantics="forever",
+        kernel=kernel, database=database,
+    )
+    return session, kernel, database

@@ -123,16 +123,16 @@ class TestRecurrenceAndErgodicity:
         assert summary["leaf_sccs"] == 1
 
     def test_classify_condenses_once(self, monkeypatch):
-        import networkx as nx
+        import repro.markov.analysis as analysis
 
         calls = []
-        condensation = nx.condensation
+        tarjan = analysis.tarjan
 
         def counted(*args, **kwargs):
             calls.append(args)
-            return condensation(*args, **kwargs)
+            return tarjan(*args, **kwargs)
 
-        monkeypatch.setattr(nx, "condensation", counted)
+        monkeypatch.setattr(analysis, "tarjan", counted)
         chain = chain_from_edges(
             [("s", "a", 1), ("a", "b", 1), ("b", "a", 1), ("s", "c", 1),
              ("c", "c", 1)]

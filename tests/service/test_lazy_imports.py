@@ -19,6 +19,10 @@ ROOT = os.path.dirname(os.path.dirname(os.path.dirname(__file__)))
 
 HTTP_MODULES = ("repro.service.http", "repro.service.client", "http.server", "urllib.request")
 
+#: An exact answer condenses its chain with the package's own SCC pass
+#: and never reaches the sparse solver's graph routines.
+GRAPH_MODULES = ("networkx", "scipy.sparse.csgraph")
+
 SCRIPT = r"""
 import json, sys
 from repro.cli import main
@@ -31,10 +35,11 @@ print(json.dumps({"status": status, "loaded": [m for m in MODULES if m in sys.mo
 """
 
 
-def test_forever_run_leaves_http_modules_unloaded():
+def _loaded_after_forever_run(modules):
+    """Which of ``modules`` an exact ``repro forever`` run loads."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (env.get("PYTHONPATH"), "src") if p)
-    script = SCRIPT.replace("MODULES", repr(HTTP_MODULES))
+    script = SCRIPT.replace("MODULES", repr(modules))
     proc = subprocess.run(
         [sys.executable, "-c", script], capture_output=True, text=True, env=env,
         timeout=300, cwd=ROOT,
@@ -42,7 +47,15 @@ def test_forever_run_leaves_http_modules_unloaded():
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout.strip().splitlines()[-1])
     assert report["status"] == 0
-    assert report["loaded"] == []
+    return report["loaded"]
+
+
+def test_forever_run_leaves_http_modules_unloaded():
+    assert _loaded_after_forever_run(HTTP_MODULES) == []
+
+
+def test_exact_forever_run_loads_no_graph_library():
+    assert _loaded_after_forever_run(GRAPH_MODULES) == []
 
 
 def test_every_public_name_resolves():

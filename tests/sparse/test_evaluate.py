@@ -6,11 +6,10 @@ from fractions import Fraction
 
 import pytest
 
-from repro.core import ForeverQuery, Interpretation, evaluate_forever_exact
+from repro.core import evaluate_forever_exact
 from repro.errors import SolveRefusedError, StateSpaceLimitExceeded
+from repro.kernel import lower
 from repro.obs import MemorySink, MetricsRegistry, Tracer
-from repro.relational.algebra import Select
-from repro.relational.predicates import RowPredicate
 from repro.runtime import RunContext
 from repro.sparse import CertifiedResult, evaluate_forever_sparse
 from repro.workloads import cycle_graph, random_walk_query
@@ -74,20 +73,13 @@ class TestEvaluate:
         assert solves.value(outcome="refused") == 1.0
 
     def test_forced_frozenset_backend_same_answer(self, walk):
-        # An opaque row predicate keeps the same walk off the kernel:
-        # the rung then streams it off the interpreter.
+        # The rung runs the kernel the query holds: a source query
+        # streams off the interpreter, its lowered pair assembles on the
+        # columnar kernel, and the two CSRs are bitwise equal.
         query, db = walk
-        opaque = ForeverQuery(
-            Interpretation({
-                name: Select(expression, RowPredicate(lambda row: True, ("I",)))
-                for name, expression in query.kernel.queries.items()
-            }),
-            query.event,
-        )
-        columnar = evaluate_forever_sparse(query, db, epsilon=1e-9)
-        frozen = evaluate_forever_sparse(opaque, db, epsilon=1e-9)
-        assert columnar.details["backend"] == "columnar"
+        frozen = evaluate_forever_sparse(query, db, epsilon=1e-9)
+        columnar = evaluate_forever_sparse(*lower(query, db), epsilon=1e-9)
         assert frozen.details["backend"] == "frozenset"
-        assert abs(frozen.probability - columnar.probability) <= (
-            frozen.certificate.bound + columnar.certificate.bound
-        )
+        assert columnar.details["backend"] == "columnar"
+        assert frozen.interval == columnar.interval
+        assert frozen.certificate.as_dict() == columnar.certificate.as_dict()

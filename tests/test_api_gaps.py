@@ -7,7 +7,6 @@ import pytest
 from repro.cli import build_arg_parser
 from repro.datalog import parse_rule, rule_choice_expression, strip_auxiliary
 from repro.datalog.compiler import compile_body, head_projection
-from repro.markov import chain_from_edges, transition_graph
 from repro.reductions import CNFFormula
 from repro.relational import Database, Relation, enumerate_worlds, evaluate
 
@@ -25,16 +24,6 @@ class TestBuildArgParser:
         parser = build_arg_parser()
         with pytest.raises(SystemExit):
             parser.parse_args([])
-
-
-class TestTransitionGraph:
-    def test_edges_and_nodes(self):
-        chain = chain_from_edges([("a", "b", 1), ("b", "a", 1), ("b", "b", 1)])
-        graph = transition_graph(chain)
-        assert set(graph.nodes) == {"a", "b"}
-        assert graph.has_edge("a", "b")
-        assert graph.has_edge("b", "b")
-        assert not graph.has_edge("a", "a")
 
 
 class TestClauseSatisfied:
