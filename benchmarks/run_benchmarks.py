@@ -896,6 +896,40 @@ def bench_partition(h: Harness) -> None:
              enforced=not h.quick,
              note="partitioned exact vs monolithic exact, family median")
 
+    # Planner scaling: both planners run one semi-naive discovery pass,
+    # whose rounds each cost about the same on a one-walker lazy cycle,
+    # so planning time should grow linearly with the cycle.
+    from repro.analysis.partition import compute_tuple_plan
+
+    def digest(plan):
+        return checksum({
+            "components": len(plan.components), "bounded": plan.bounded,
+            "bounds": [c.state_bound for c in plan.components],
+            "class_sizes": [len(c.tuples) for c in plan.components],
+        })
+
+    sizes = (100, 400) if h.quick else (100, 200, 400, 800)
+    planners = {
+        "bounds": lambda q, d: compute_partition_plan(q.kernel, database=d),
+        "tuples": lambda q, d: compute_tuple_plan(q.kernel, d),
+    }
+    seconds = {name: [] for name in planners}
+    for size in sizes:
+        query, db = random_walk_query(cycle_graph(size), "n0", "n1")
+        for name, planner in planners.items():
+            plan_s, plan = timed(lambda: planner(query, db), h.rounds)
+            seconds[name].append(plan_s)
+            h.record(f"partition_{name}_cycle{size}", plan_s, digest(plan),
+                     components=len(plan.components), nodes=size)
+    if not h.quick:
+        ratio = sizes[-1] / sizes[0]
+        growth = {name: times[-1] / times[0] for name, times in seconds.items()}
+        h.check("partition_planners_scale_linearly",
+                all(g < 3 * ratio for g in growth.values()),
+                f"{sizes[-1]} vs {sizes[0]} nodes ({ratio:.0f}x): " + ", ".join(
+                    f"{name} {g:.1f}x" for name, g in growth.items())
+                + f" (limit {3 * ratio:.0f}x)")
+
 
 def bench_tracing(h: Harness) -> None:
     print("observability — disabled-tracer overhead + per-phase timings")

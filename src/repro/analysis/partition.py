@@ -9,18 +9,20 @@ program splits; :mod:`repro.runtime.partition_exec` runs the result.
 It builds two kinds of :class:`PartitionPlan`:
 
 relation level (:func:`compute_partition_plan`)
-    A pure analysis over the kernel's dependency structure whose
-    components are sets of relations.  It is cheap and
-    event-independent, so lint and service admission report it
-    (``PP0xx``).
+    An analysis over the kernel's dependency structure whose components
+    are sets of relations.  It is event-independent, so lint and service
+    admission report it (``PP0xx``).
 
 tuple level (:func:`compute_tuple_plan`)
     The paper's own granularity: components are classes of base tuples
     that share no provenance, discovered by running the kernel
     inflationarily on the database (see :func:`compute_tuple_plan` for
     the coupling rules).  It splits programs the relation level cannot,
-    such as several walkers in one relation on disjoint graphs, at the
-    price of a fixpoint over the database.
+    such as several walkers in one relation on disjoint graphs.
+
+Both read one semi-naive discovery pass over the database: its classes
+are the tuple level's components, and its support gives the relation
+level's state bounds.
 
 Relation level
 --------------
@@ -44,10 +46,10 @@ Every claim the relation-level planner makes is checkable statically:
   repair-key choice made inside one component's queries is invisible to
   the other components' queries);
 * the per-component state bound is a sound over-approximation of the
-  reachable sub-chain (see ``_relation_bound``), provided no query
-  references a dynamic relation negatively — difference is antitone in
-  its right operand, so the support fixpoint would not over-approximate;
-  bounds are disabled (``None``) in that case;
+  reachable sub-chain (see ``_state_bounds``); bounds are off
+  (``bounded`` false) when a query references a dynamic relation
+  negatively, where reading a difference as its left side would leave
+  them too loose to use;
 * recombination by independence is exact for the product chain whenever
   each component's own Cesàro limit exists (always for aperiodic
   components, e.g. lazy kernels); the parity gates in
@@ -94,7 +96,6 @@ from repro.relational.algebra import (
     RepairKey,
     Select,
     Union,
-    evaluate,
 )
 from repro.relational.ordering import row_key
 
@@ -102,7 +103,6 @@ if TYPE_CHECKING:
     from repro.core.events import QueryEvent, TupleIn
     from repro.core.interpretation import Interpretation
     from repro.relational.database import Database
-    from repro.relational.relation import Relation
 
 #: Default exact-rung state budget the planner judges bounds against —
 #: the CLI's ``forever --max-states`` default (``DEFAULT_MAX_STATES``).
@@ -116,13 +116,13 @@ _BOUND_CAP = 10**15
 #: (``2**n`` would blow past :data:`_BOUND_CAP` anyway).
 _SUBSET_BOUND_MAX_ROWS = 50
 
-_SUPPORT_MAX_ITERATIONS = 512
+#: The discovery pass gives up past this many tuples.
 _SUPPORT_MAX_ROWS = 100_000
 
-#: Safety cap on the rounds of tuple-level discovery's inflationary run.
+#: Safety cap on the rounds of the discovery pass.
 MAX_DISCOVERY_ROUNDS = 10_000
 
-#: Cap on the weight sums tuple-level discovery enumerates for rows a
+#: Cap on the weight sums the discovery pass enumerates for rows a
 #: repair-key merges (there are up to ``2**k - 1`` for ``k`` rows).
 MAX_MERGED_WEIGHTS = 4096
 
@@ -317,7 +317,7 @@ def compute_partition_plan(
     """Statically decompose ``kernel`` into independent components.
 
     ``database`` enables the conservative per-component state bound (the
-    support fixpoint needs the initial instance); ``event`` marks the
+    discovery pass needs the initial instance); ``event`` marks the
     component that contains the event relation.  Neither changes the
     partition itself.
 
@@ -547,147 +547,75 @@ def _state_bounds(
     database: "Database | None",
 ) -> tuple[dict[str, int | None], bool]:
     """Per-relation bounds on the number of values each dynamic relation
-    can take along any run, from the support fixpoint.
+    can take along any run, read off the discovery pass (see
+    :func:`compute_tuple_plan`).
 
-    Soundness: strip every ``repair-key`` (its output rows are a subset
-    of its input rows, and the operator is schema-preserving), then the
-    kernel is deterministic and — absent negative references to dynamic
-    relations — *monotone*, so iterating it inflationarily from the
-    initial database reaches a fixpoint ``support`` with the invariant
-    that every reachable runtime value of relation ``R`` is a subset of
-    ``support[R]``.  That gives the generic subset bound ``2**|support|``;
-    a repair-key node sharpens it to the product over its static key
-    groups of ``candidates + 1`` (each group contributes one chosen row
-    or nothing).  Returns ``({}, False)`` when no bound can be computed.
+    Soundness: the pass reads every operator monotonically (repair-key
+    keeps every row and every footnote-1 weight sum, a difference keeps
+    its whole left side), so its final state, the *support*, holds every
+    row a run can hold.  Every reachable value of a relation ``R`` is a
+    subset of its support, which gives the generic subset bound
+    ``2**|support|``; a repair-key node sharpens it to the product over
+    its key groups of ``candidates + 1`` (each group contributes one
+    chosen row or nothing), the candidates being the rows the pass met
+    there.  Returns ``({}, False)`` when no bound can be computed.
     """
-    if database is None:
-        return {}, False
     targets = {name for name in dynamic if name not in pc_names}
-    if not targets:
+    if database is None or not targets:
         return {}, False
     for name in targets:
         for ref, positive, _prob in expression_references(kernel.queries[name]):
             if not positive and ref in dynamic:
-                # Difference is antitone in its right operand: the
-                # support fixpoint would not over-approximate.
+                # Sound but too loose to use: read as its left side, a
+                # difference leaves only the subset bound of its support,
+                # so the 3x4 reach DAG would get a bound of 16,384 and
+                # larger DAGs a PP002 their chains do not earn.
                 return {}, False
-    support = _support_fixpoint(kernel, targets, database)
-    if support is None:
+    try:
+        run = _Discovery(kernel, database)
+    except Exception:
+        # A malformed query (caught separately by the schema checks) or a
+        # pass past its caps yields no bound; the planner never raises.
         return {}, False
     bounds: dict[str, int | None] = {}
     for name in targets:
-        bounds[name] = _relation_bound(name, kernel.queries[name], support, dynamic)
+        found = (
+            _value_bound(kernel.queries[name], (name,), run, dynamic),
+            _subset_bound(run, name),
+        )
+        bounds[name] = min((b for b in found if b is not None), default=None)
     return bounds, True
-
-
-def _support_fixpoint(
-    kernel: "Interpretation",
-    targets: set[str],
-    database: "Database",
-) -> "Database | None":
-    stripped = {
-        name: _strip_repair_keys(kernel.queries[name]) for name in sorted(targets)
-    }
-    state = database
-    try:
-        for _ in range(_SUPPORT_MAX_ITERATIONS):
-            updates: dict[str, "Relation"] = {}
-            for name, expression in stripped.items():
-                updates[name] = evaluate(expression, state).union(state[name])
-            next_state = state.with_relations(updates)
-            if next_state == state:
-                return state
-            if next_state.total_rows() > _SUPPORT_MAX_ROWS:
-                return None
-            state = next_state
-    except Exception:
-        # A malformed query (caught separately by the schema checks)
-        # simply yields no bound; the planner never raises.
-        return None
-    return None
-
-
-def _relation_bound(
-    name: str,
-    expression: Expression,
-    support: "Database",
-    dynamic: set[str],
-) -> int | None:
-    structural = _value_bound(expression, support, dynamic)
-    subset = _subset_bound(support, name)
-    candidates = [b for b in (structural, subset) if b is not None]
-    return min(candidates) if candidates else None
 
 
 def _value_bound(
     expression: Expression,
-    support: "Database",
+    at: "_Path",
+    run: "_Discovery",
     dynamic: set[str],
 ) -> int | None:
-    """Bound on the number of distinct values ``expression`` can produce
-    across all reachable runtime states (``None`` = no bound found)."""
+    """Bound on the number of distinct values ``expression``, at plan
+    position ``at``, can produce across all reachable runtime states
+    (``None`` = no bound found)."""
     if isinstance(expression, RelationRef):
         if expression.name in dynamic:
-            return _subset_bound(support, expression.name)
+            return _subset_bound(run, expression.name)
         return 1
     if isinstance(expression, Literal):
         return 1
     if isinstance(expression, RepairKey):
-        try:
-            rows = evaluate(_strip_repair_keys(expression.child), support)
-        except Exception:
-            return None
-        indices = [rows.column_index(column) for column in expression.key]
-        groups: dict[tuple[Any, ...], int] = {}
-        for row in rows:
-            key = tuple(row[i] for i in indices)
-            groups[key] = groups.get(key, 0) + 1
-        bound = 1
-        for count in groups.values():
-            bound *= count + 1
-            if bound > _BOUND_CAP:
-                return None
-        return bound
-    if isinstance(expression, (Select, Project, Rename, ExtendedProject)):
-        return _value_bound(expression.child, support, dynamic)
-    if isinstance(expression, (Union, Difference, Product, NaturalJoin)):
-        left = _value_bound(expression.left, support, dynamic)
-        right = _value_bound(expression.right, support, dynamic)
-        return _product([left, right])
-    return None
+        return _product(count + 1 for count in run.candidates.get(at, {}).values())
+    # A unary or binary operator: the pass, which ran, knows no others.
+    return _product(
+        _value_bound(child, at + (index,), run, dynamic)
+        for index, child in enumerate(expression.children())
+    )
 
 
-def _subset_bound(support: "Database", name: str) -> int | None:
-    if name not in support.names():
+def _subset_bound(run: "_Discovery", name: str) -> int | None:
+    support = run.rows.get(name)
+    if support is None or len(support) > _SUBSET_BOUND_MAX_ROWS:
         return None
-    size = len(support[name])
-    if size > _SUBSET_BOUND_MAX_ROWS:
-        return None
-    return 2**size
-
-
-def _strip_repair_keys(expression: Expression) -> Expression:
-    """The same expression with every ``repair-key`` replaced by its
-    child — sound for support computation because the operator is
-    schema-preserving and its output rows are a subset of its input."""
-    if isinstance(expression, RepairKey):
-        return _strip_repair_keys(expression.child)
-    if isinstance(expression, (RelationRef, Literal)):
-        return expression
-    if isinstance(expression, Select):
-        return Select(_strip_repair_keys(expression.child), expression.predicate)
-    if isinstance(expression, Project):
-        return Project(_strip_repair_keys(expression.child), expression.columns)
-    if isinstance(expression, Rename):
-        return Rename(_strip_repair_keys(expression.child), expression.mapping)
-    if isinstance(expression, ExtendedProject):
-        return ExtendedProject(_strip_repair_keys(expression.child), expression.outputs)
-    if isinstance(expression, (Union, Difference, Product, NaturalJoin)):
-        return type(expression)(
-            _strip_repair_keys(expression.left),
-            _strip_repair_keys(expression.right),
-        )
-    return expression
+    return 2 ** len(support)
 
 
 def _product(factors: Iterable[int | None]) -> int | None:
@@ -725,10 +653,13 @@ def compute_tuple_plan(kernel: "Interpretation", database: "Database") -> Partit
     * pc-table entries whose conditions share a variable couple, and
       every entry is a candidate tuple of its relation.
 
-    Every round evaluates all queries on the same state; the run stops
-    after a round in which no relation grew, which has already coupled
-    every derivation on the final state.  Read this way every operator
-    is monotone, so the final state holds every tuple any run can hold.
+    The run is semi-naive: each round evaluates every query on the
+    tuples the previous round added, a join pairing each side's new rows
+    with all rows met on the other (``Δ(E ⋈ F) = ΔE ⋈ F ∪ E_old ⋈ ΔF``),
+    and a row a plan position meets again couples with its first anchor
+    instead of being propagated again.  It stops after a round that adds
+    no tuple.  Read this way every operator is monotone, so the final
+    state holds every tuple any run can hold.
     Couplings are made where the operator meets its inputs, so a pair a
     later selection drops may still couple: the classes can only come
     out coarser than necessary, never wrongly split.
@@ -737,37 +668,12 @@ def compute_tuple_plan(kernel: "Interpretation", database: "Database") -> Partit
     database's rows plus the pc-table candidates); ``owner`` maps every
     tuple, derived ones included, to its component.  Raises
     :class:`~repro.errors.EvaluationError` when the run does not reach
-    a fixpoint within :data:`MAX_DISCOVERY_ROUNDS` rounds, or when a
-    merge of equal-but-for-weight rows has more than
-    :data:`MAX_MERGED_WEIGHTS` candidate sums.
+    a fixpoint within :data:`MAX_DISCOVERY_ROUNDS` rounds, holds more
+    than 100,000 tuples, or when a merge of equal-but-for-weight rows
+    has more than :data:`MAX_MERGED_WEIGHTS` candidate sums.
     """
     kernel.check_schema(database)
-    run = _Discovery(database)
-    if kernel.pc_tables is not None:
-        first_entry: dict[str, int] = {}
-        for name in sorted(kernel.pc_tables.tables):
-            for row, cond in kernel.pc_tables.tables[name].entries:
-                tid = run.intern(name, row)
-                for variable in sorted(cond.variables()):
-                    run.uf.union(first_entry.setdefault(variable, tid), tid)
-    base = len(run.tuples)
-
-    queries = sorted(kernel.queries.items())
-    for _ in range(MAX_DISCOVERY_ROUNDS):
-        derived = [(name, run.lineage(expression)[1]) for name, expression in queries]
-        known = len(run.tuples)
-        for name, rows in derived:
-            for row, anchor in rows.items():
-                tid = run.intern(name, row)
-                if anchor is not None:
-                    run.uf.union(tid, anchor)
-        if len(run.tuples) == known:
-            break
-    else:
-        raise EvaluationError(
-            f"tuple-level discovery did not reach a fixpoint within "
-            f"{MAX_DISCOVERY_ROUNDS} rounds"
-        )
+    run = _Discovery(kernel, database)
 
     pc_names = set(kernel.pc_relation_names())
     dynamic = {
@@ -796,7 +702,7 @@ def compute_tuple_plan(kernel: "Interpretation", database: "Database") -> Partit
                 members=tuple(sorted({relation for relation, _row in tuples})),
                 footprint=tuple(sorted(database.names())),
                 tuples=tuple(
-                    held for tid, held in zip(members, tuples) if tid < base
+                    held for tid, held in zip(members, tuples) if tid < run.base
                 ),
             )
         )
@@ -812,24 +718,40 @@ def compute_tuple_plan(kernel: "Interpretation", database: "Database") -> Partit
 
 _Row = tuple[Any, ...]
 
+#: A plan position: the query's name, then the child indices down to
+#: the operator (one expression object can occur at several).
+_Path = tuple[Any, ...]
+
 #: Rows of an intermediate result, each mapped to its *anchor*: the id
 #: of a tuple whose class holds every tuple the row was derived from,
 #: or ``None`` for a row derived from literals alone.
 _Lineage = dict[_Row, "int | None"]
 
+#: The rows a position yields in one round that it had not met, anchored.
+_Delta = list[tuple[_Row, "int | None"]]
+
+#: A join side's rows met so far by join key, each as the part of the
+#: row the join output takes from it, with its anchor.
+_Buckets = dict[_Row, _Delta]
+
 
 class _Discovery:
-    """One run of tuple-level discovery.
+    """The discovery pass of both planners, run to its fixpoint.
 
     Every tuple met gets a dense integer id, and the union-find holds
     ids: hashing rows that carry ``Fraction`` weights is what a run
     spends most of its time on, so each row is hashed as rarely as
-    possible.  ``rows`` is the inflationary state, as row -> id maps.
-    A repair-key group whose rows come from literals alone is anchored
-    by a *choice node*, which has a negative id (see :meth:`choice`).
+    possible.  ``rows`` is the inflationary state, as row -> id maps;
+    ``fresh`` holds the tuples the last round added.  A repair-key group
+    whose rows come from literals alone is anchored by a *choice node*,
+    which has a negative id (see :meth:`choice`).  What a plan position
+    keeps lasts across rounds: the rows it met with their first anchors
+    (``met``), a join's rows per side and join key (``sides``), a
+    difference's right rows (``subtracted``), and a repair-key's group
+    anchors, candidate rows per group and footnote-1 weights and sums.
     """
 
-    def __init__(self, database: "Database") -> None:
+    def __init__(self, kernel: "Interpretation", database: "Database") -> None:
         self.tuples: list[TupleId] = []
         self.choices: dict[tuple[RepairKey, _Row], int] = {}
         self.uf: _UnionFind[int] = _UnionFind(key=self.order)
@@ -839,12 +761,50 @@ class _Discovery:
             self.rows[name] = {}
             for row in database[name]:
                 self.intern(name, row)
+        if kernel.pc_tables is not None:
+            first_entry: dict[str, int] = {}
+            for name in sorted(kernel.pc_tables.tables):
+                for row, cond in kernel.pc_tables.tables[name].entries:
+                    tid = self.intern(name, row)
+                    for variable in sorted(cond.variables()):
+                        self.uf.union(first_entry.setdefault(variable, tid), tid)
+        self.base = len(self.tuples)
+        self.met: dict[_Path, _Lineage] = {}
+        self.sides: dict[_Path, tuple[_Buckets, _Buckets]] = {}
+        self.subtracted: dict[_Path, _Lineage] = {}
+        self.groups: dict[_Path, dict[_Row, int]] = {}
+        self.candidates: dict[_Path, dict[_Row, int]] = {}
+        self.weights: dict[_Path, dict[_Row, tuple[list[Any], set[Fraction]]]] = {}
+        self.fresh: dict[str, _Delta] = {
+            name: list(ids.items()) for name, ids in self.rows.items()
+        }
+        queries = sorted(kernel.queries.items())
+        for _round in range(MAX_DISCOVERY_ROUNDS):
+            derived = [(name, self.delta(query, (name,))[1]) for name, query in queries]
+            fresh: dict[str, _Delta] = {}
+            for name, rows in derived:
+                for row, anchor in rows:
+                    known = len(self.tuples)
+                    tid = self.intern(name, row)
+                    if tid >= known:
+                        fresh.setdefault(name, []).append((row, tid))
+                    if anchor is not None:
+                        self.uf.union(tid, anchor)
+            if not fresh:
+                return
+            if len(self.tuples) > _SUPPORT_MAX_ROWS:
+                raise EvaluationError(
+                    f"tuple-level discovery: more than {_SUPPORT_MAX_ROWS} tuples"
+                )
+            self.fresh = fresh
+        raise EvaluationError(
+            f"tuple-level discovery did not reach a fixpoint within "
+            f"{MAX_DISCOVERY_ROUNDS} rounds"
+        )
 
     def intern(self, name: str, row: _Row) -> int:
-        ids = self.rows[name]
-        tid = ids.get(row)
-        if tid is None:
-            tid = ids[row] = len(self.tuples)
+        tid = self.rows[name].setdefault(row, len(self.tuples))
+        if tid == len(self.tuples):
             self.tuples.append((name, row))
             self.uf.add(tid)
         return tid
@@ -852,8 +812,8 @@ class _Discovery:
     def choice(self, site: RepairKey, group: _Row) -> int:
         """The node of a repair-key group no tuple anchors: its rows come
         from literals, yet which of them is chosen still couples them.
-        Keyed by the operator and the group, so every round meets the
-        same node."""
+        Keyed by the operator and the group, so every position of the
+        operator meets the same node."""
         node = self.choices.get((site, group))
         if node is None:
             node = self.choices[site, group] = -1 - len(self.choices)
@@ -876,50 +836,76 @@ class _Discovery:
             self.uf.union(left, right)
         return left
 
-    def lineage(self, expression: Expression) -> tuple[tuple[str, ...], _Lineage]:
-        """Evaluate ``expression`` on the state with repair-key keeping
+    def meet(self, met: _Lineage, out: _Delta, row: _Row, anchor: int | None) -> bool:
+        """Record that a position derived ``row`` from ``anchor``.  A row
+        new there joins ``out``, the position's delta, and so does a row
+        derived from literals alone until now; a row met before couples
+        with its first anchor.  True if ``row`` is new."""
+        known = len(met)
+        first = met.setdefault(row, anchor)
+        if len(met) > known:
+            out.append((row, anchor))
+            return True
+        if anchor is not None:
+            if first is None:
+                met[row] = anchor
+                out.append((row, anchor))
+            else:
+                self.uf.union(first, anchor)
+        return False
+
+    def delta(self, expression: Expression, at: _Path) -> tuple[tuple[str, ...], _Delta]:
+        """The rows ``expression`` yields at plan position ``at`` this
+        round that it did not yield before, read with repair-key keeping
         every row, coupling tuples as :func:`compute_tuple_plan` says."""
         link = self.link
         if isinstance(expression, RelationRef):
-            # A copy (it keeps the stored hashes): callers may extend it.
-            rows: _Lineage = dict(self.rows[expression.name])
-            return self.columns[expression.name], rows
-        if isinstance(expression, Literal):
-            relation = expression.relation
-            return relation.columns, {row: None for row in relation}
+            return self.columns[expression.name], self.fresh.get(expression.name, [])
         if isinstance(expression, Select):
-            columns, rows = self.lineage(expression.child)
+            columns, rows = self.delta(expression.child, at + (0,))
             predicate = expression.predicate
-            return columns, {
-                row: anchor
-                for row, anchor in rows.items()
+            return columns, [
+                (row, anchor)
+                for row, anchor in rows
                 if predicate.evaluate(dict(zip(columns, row)))
-            }
-        if isinstance(expression, (Project, Rename, ExtendedProject)):
-            columns, rows = self.lineage(expression.child)
+            ]
+        if isinstance(expression, Rename):
+            columns, rows = self.delta(expression.child, at + (0,))
+            return tuple(expression.mapping.get(c, c) for c in columns), rows
+        met = self.met.setdefault(at, {})
+        out: _Delta = []
+        if isinstance(expression, Literal):
+            for row in expression.relation:
+                self.meet(met, out, row, None)
+            return expression.relation.columns, out
+        if isinstance(expression, (Project, ExtendedProject)):
+            columns, rows = self.delta(expression.child, at + (0,))
             out_columns, image = _row_image(expression, columns)
-            out: _Lineage = {}
-            for row, anchor in rows.items():
-                target = image(row)
-                out[target] = link(out.get(target), anchor)
+            for row, anchor in rows:
+                self.meet(met, out, image(row), anchor)
             return out_columns, out
         if isinstance(expression, Union):
-            columns, out = self.lineage(expression.left)
-            for row, anchor in self.lineage(expression.right)[1].items():
-                out[row] = link(out.get(row), anchor)
+            columns, left = self.delta(expression.left, at + (0,))
+            for row, anchor in left + self.delta(expression.right, at + (1,))[1]:
+                self.meet(met, out, row, anchor)
             return columns, out
         if isinstance(expression, Difference):
             # Every left row may survive (the subtracted side can lack it
             # in some state), and whether it does depends on the same
-            # row of the subtracted side.
-            columns, left = self.lineage(expression.left)
-            right = self.lineage(expression.right)[1]
-            return columns, {
-                row: link(anchor, right.get(row)) for row, anchor in left.items()
-            }
+            # row of the subtracted side, whichever side met it first.
+            columns, left = self.delta(expression.left, at + (0,))
+            right = self.delta(expression.right, at + (1,))[1]
+            subtracted = self.subtracted.setdefault(at, {})
+            for row, anchor in right:
+                subtracted[row] = anchor
+                if row in met:
+                    self.meet(met, out, row, anchor)
+            for row, anchor in left:
+                self.meet(met, out, row, link(anchor, subtracted.get(row)))
+            return columns, out
         if isinstance(expression, (Product, NaturalJoin)):
-            left_columns, left = self.lineage(expression.left)
-            right_columns, right = self.lineage(expression.right)
+            left_columns, left = self.delta(expression.left, at + (0,))
+            right_columns, right = self.delta(expression.right, at + (1,))
             shared = (
                 [c for c in left_columns if c in right_columns]
                 if isinstance(expression, NaturalJoin)
@@ -928,40 +914,77 @@ class _Discovery:
             kept = [i for i, c in enumerate(right_columns) if c not in left_columns]
             left_key = [left_columns.index(c) for c in shared]
             right_key = [right_columns.index(c) for c in shared]
-            buckets: dict[_Row, list[tuple[_Row, int | None]]] = {}
-            for row, anchor in right.items():
-                buckets.setdefault(tuple(row[i] for i in right_key), []).append(
-                    (tuple(row[i] for i in kept), anchor)
-                )
-            out = {}
-            for row, anchor in left.items():
-                for tail, other in buckets.get(tuple(row[i] for i in left_key), ()):
-                    out[row + tail] = link(anchor, other)
+            lefts, rights = self.sides.setdefault(at, ({}, {}))
+            # E_old ⋈ ΔF, then ΔE ⋈ F with F holding this round's rows too.
+            for row, anchor in right:
+                key, tail = tuple(row[i] for i in right_key), tuple(row[i] for i in kept)
+                rights.setdefault(key, []).append((tail, anchor))
+                for head, other in lefts.get(key, ()):
+                    self.meet(met, out, head + tail, link(other, anchor))
+            for row, anchor in left:
+                key = tuple(row[i] for i in left_key)
+                lefts.setdefault(key, []).append((row, anchor))
+                for tail, other in rights.get(key, ()):
+                    self.meet(met, out, row + tail, link(anchor, other))
             return left_columns + tuple(right_columns[i] for i in kept), out
         if isinstance(expression, RepairKey):
-            columns, rows = self.lineage(expression.child)
+            columns, rows = self.delta(expression.child, at + (0,))
             key = [columns.index(c) for c in expression.key]
-            groups: dict[_Row, int | None] = {}
-            for row, anchor in rows.items():
+            groups = self.groups.setdefault(at, {})
+            anchors: dict[_Row, int | None] = {}
+            for row, anchor in rows:
                 group = tuple(row[i] for i in key)
-                groups[group] = link(groups.get(group), anchor)
-            for group, anchor in groups.items():
-                if anchor is None:
-                    groups[group] = self.choice(expression, group)
-            out = {row: groups[tuple(row[i] for i in key)] for row in rows}
+                if group in groups:
+                    link(groups[group], anchor)
+                else:
+                    anchors[group] = link(anchors.get(group), anchor)
+            for group, anchor in anchors.items():
+                groups[group] = self.choice(expression, group) if anchor is None else anchor
+            found = [row for row, _anchor in rows]
             if expression.weight is not None:
-                _add_merged_weights(out, columns.index(expression.weight))
+                found += self.merge(at, found, columns.index(expression.weight))
+            sizes = self.candidates.setdefault(at, {})
+            for row in found:
+                group = tuple(row[i] for i in key)
+                if self.meet(met, out, row, groups[group]):
+                    sizes[group] = sizes.get(group, 0) + 1
             return columns, out
         raise AlgebraError(f"cannot track lineage through {expression!r}")
 
+    def merge(self, at: _Path, rows: Iterable[_Row], weight: int) -> list[_Row]:
+        """The rows a repair-key makes by merging rows equal but for the
+        weight (footnote 1 of the paper) that are new this round: the
+        merged weight sums those a state holds, so any nonempty subset's
+        sum can occur.  Sums grow by new weights only.  Such rows share
+        their key, hence their group's anchor."""
+        known = self.weights.setdefault(at, {})
+        out: list[_Row] = []
+        for row in rows:
+            rest = row[:weight] + row[weight + 1 :]
+            weights, sums = known.setdefault(rest, ([], set()))
+            if row[weight] in weights:
+                continue  # met before, derived from literals alone then
+            weights.append(row[weight])
+            if len(weights) < 2:
+                continue
+            if not sums:
+                sums.add(as_fraction(weights[0]))
+            value = as_fraction(row[weight])
+            grown = ({value} | {total + value for total in sums}) - sums
+            sums |= grown
+            if len(sums) > MAX_MERGED_WEIGHTS:
+                raise EvaluationError(
+                    f"tuple-level discovery: more than {MAX_MERGED_WEIGHTS} "
+                    f"merged repair-key weights for row {rest!r}"
+                )
+            out.extend(rest[:weight] + (total,) + rest[weight:] for total in grown)
+        return out
+
 
 def _row_image(
-    expression: Project | Rename | ExtendedProject, columns: tuple[str, ...]
+    expression: Project | ExtendedProject, columns: tuple[str, ...]
 ) -> tuple[tuple[str, ...], Callable[[tuple[Any, ...]], tuple[Any, ...]]]:
     """Output columns and row map of a row-wise operator."""
-    if isinstance(expression, Rename):
-        renamed = tuple(expression.mapping.get(c, c) for c in columns)
-        return renamed, lambda row: row
     if isinstance(expression, Project):
         indices = [columns.index(c) for c in expression.columns]
         return expression.columns, lambda row: tuple(row[i] for i in indices)
@@ -973,31 +996,6 @@ def _row_image(
         tuple(name for name, _source in expression.outputs),
         lambda row: tuple(row[v] if is_col else v for is_col, v in sources),
     )
-
-
-def _add_merged_weights(rows: _Lineage, weight: int) -> None:
-    """Add the rows a repair-key makes by merging rows equal but for
-    the weight (footnote 1 of the paper): the merged weight sums those a
-    state holds, so any nonempty subset's sum can occur.  Such rows
-    share their key, hence their group's anchor."""
-    merged: dict[_Row, list[_Row]] = {}
-    for row in rows:
-        merged.setdefault(row[:weight] + row[weight + 1 :], []).append(row)
-    for rest, equal in merged.items():
-        if len(equal) < 2:
-            continue
-        sums: set[Fraction] = set()
-        for row in equal:
-            value = as_fraction(row[weight])
-            sums |= {value} | {total + value for total in sums}
-            if len(sums) > MAX_MERGED_WEIGHTS:
-                raise EvaluationError(
-                    f"tuple-level discovery: more than {MAX_MERGED_WEIGHTS} "
-                    f"merged repair-key weights for row {rest!r}"
-                )
-        anchor = rows[equal[0]]
-        for total in sums:
-            rows.setdefault(rest[:weight] + (total,) + rest[weight:], anchor)
 
 
 # -- helpers ------------------------------------------------------------------

@@ -306,9 +306,8 @@ class EngineSession:
         """A session that only parses the request's program and database.
 
         The one-shot path of ``repro forever|inflationary|datalog``: no
-        admission analysis runs (its partition planner costs more than
-        many queries do), and there is no transition cache unless the
-        request's ``cache_size`` param asks for one.  Parse and
+        admission analysis runs, and there is no transition cache unless
+        the request's ``cache_size`` param asks for one.  Parse and
         evaluation errors surface as they would without a service.
         """
         database, pc = _decode_inputs(request)

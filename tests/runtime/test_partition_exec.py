@@ -365,15 +365,19 @@ class TestPlanIntegration:
         self, two_walkers, monkeypatch, capsys
     ):
         """A plan-less ``evaluate_partitioned`` and a CLI session (which
-        runs no admission analysis) plan without the support fixpoint:
-        nothing on either path reads a state bound."""
+        runs no admission analysis) plan without a database: nothing on
+        either path computes a state bound."""
         from repro.analysis import partition
         from repro.cli import main
 
-        def unread(*_args, **_kwargs):
-            raise AssertionError("state bounds computed for an execution")
+        state_bounds = partition._state_bounds
 
-        monkeypatch.setattr(partition, "_support_fixpoint", unread)
+        def unread(kernel, dynamic, pc_names, database):
+            if database is not None:
+                raise AssertionError("state bounds computed for an execution")
+            return state_bounds(kernel, dynamic, pc_names, database)
+
+        monkeypatch.setattr(partition, "_state_bounds", unread)
         kernel, db = two_walkers
         query = ForeverQuery(kernel, EVENTS["and"])
         result = evaluate_partitioned(query, db)
@@ -387,6 +391,85 @@ class TestPlanIntegration:
         payload = json.loads(capsys.readouterr().out)
         assert payload["method"] == "partition-exact"
         assert payload["partition"]["components"] == 2
+
+
+def subtracted_choice():
+    """R := project[A](S) minus project[A](repair-key[@P](S)): every
+    step drops one of S's five values, so R takes six values, the empty
+    start included."""
+    kernel = Interpretation({
+        "R": difference(
+            project(rel("S"), "A"), project(repair_key(rel("S"), (), "P"), "A")
+        )
+    })
+    db = Database({
+        "S": Relation(("A", "P"), [(f"a{i}", 1) for i in range(5)]),
+        "R": Relation(("A",), []),
+    })
+    return kernel, db
+
+
+def merged_weights():
+    """W := repair-key[@P](project[A,P](repair-key[K@Q](E))): the outer
+    repair-key merges rows equal but for the weight (footnote 1), so W
+    holds (x, s) for any sum s of the weights 1, 2, 4 that chose x."""
+    inner = project(repair_key(rel("E"), ("K",), "Q"), "A", "P")
+    kernel = Interpretation({"W": repair_key(inner, (), "P")})
+    db = Database({
+        "E": Relation(
+            ("K", "A", "P", "Q"),
+            [
+                (k, x, w, 1)
+                for k, w in (("k1", 1), ("k2", 2), ("k3", 4))
+                for x in ("a", "b")
+            ],
+        ),
+        "W": Relation(("A", "P"), []),
+    })
+    return kernel, db
+
+
+BOUND_PROBES = {"subtracted-choice": subtracted_choice, "merged-weights": merged_weights}
+
+
+def bound_programs():
+    """The probes and the kernel suites' programs, as (kernel, db) builders."""
+    from tests.kernel.cases import ALL
+
+    def kernel_of(build):
+        query, db = build()
+        return query.kernel, db
+
+    programs = dict(BOUND_PROBES)
+    for name, build in ALL.items():
+        programs[name] = lambda build=build: kernel_of(build)
+    return programs
+
+
+class TestStateBounds:
+    """A component's state bound covers the values its members take
+    together along the reachable chain."""
+
+    @pytest.mark.parametrize("name", sorted(bound_programs()))
+    def test_bound_covers_the_chain(self, name):
+        from repro.core.chain_builder import build_state_chain
+
+        kernel, db = bound_programs()[name]()
+        plan = compute_partition_plan(kernel, database=db)
+        states = build_state_chain(kernel, db).states
+        for component in plan.components:
+            if component.state_bound is None:
+                continue
+            values = {tuple(state[m] for m in component.members) for state in states}
+            assert len(values) <= component.state_bound, (name, component.name)
+
+    def test_probes_are_bounded(self):
+        """The probes' bounds are their chains' sizes, not vacuous."""
+        for build, states in ((subtracted_choice, 6), (merged_weights, 15)):
+            kernel, db = build()
+            plan = compute_partition_plan(kernel, database=db)
+            assert plan.bounded
+            assert [c.state_bound for c in plan.components] == [states]
 
 
 # -- tuple-level plans --------------------------------------------------------
